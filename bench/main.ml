@@ -644,11 +644,11 @@ let e13 () =
     cells
 
 (* ------------------------------------------------------------------ *)
-(* E15: explorer inner-loop rewrite — throughput, DPOR, stealing       *)
+(* E15: explorer inner-loop rewrite — throughput, DPOR reduction       *)
 (* ------------------------------------------------------------------ *)
 
 let e15 () =
-  section "E15 | Explorer rewrite: states/sec, DPOR reduction, work stealing";
+  section "E15 | Explorer rewrite: states/sec, DPOR reduction";
   let module Ex = Era_explore.Explore in
   let target () =
     Era.Applicability.explore_target ~seed:2 (Era_smr.Registry.find_exn "hp")
@@ -724,50 +724,7 @@ let e15 () =
            ("reduction", reduction);
            ("exhausted", if exhausted then 1. else 0.);
          ]
-       ());
-  (* (c) Work stealing vs the level-synchronous queue at 2 and 4
-     domains, on the same coverage cell (fixed budget so every engine
-     does the same amount of work). *)
-  let hw = Domain.recommended_domain_count () in
-  List.iter
-    (fun domains ->
-      let engine steal =
-        let config =
-          {
-            Ex.default_config with
-            Ex.max_runs = 2_000;
-            shrink = false;
-            domains;
-            steal;
-          }
-        in
-        let t0 = Unix.gettimeofday () in
-        let r = Ex.explore ~config (ebr_target ()) in
-        (r.Ex.res_stats.Ex.states, Unix.gettimeofday () -. t0)
-      in
-      let qs, qt = engine false in
-      let ss, st = engine true in
-      let q_sps = float_of_int qs /. Float.max qt 1e-9 in
-      let s_sps = float_of_int ss /. Float.max st 1e-9 in
-      Fmt.pr
-        "  d%d  queue %9.0f states/s | steal %9.0f states/s  (%.2fx, hw %d)@."
-        domains q_sps s_sps
-        (s_sps /. Float.max q_sps 1e-9)
-        hw;
-      emit
-        (M.row ~experiment:"E15"
-           ~label:(Fmt.str "steal-vs-queue/d%d" domains)
-           ~scheme:"ebr" ~structure:"harris-list" ~domains
-           ~elapsed_s:(qt +. st)
-           ~extra:
-             [
-               ("queue_states_per_sec", q_sps);
-               ("steal_states_per_sec", s_sps);
-               ("steal_speedup", s_sps /. Float.max q_sps 1e-9);
-               ("hw_domains", float_of_int hw);
-             ]
-           ()))
-    [ 2; 4 ]
+       ())
 
 (* ------------------------------------------------------------------ *)
 (* E18: DEBRA+ native cost — neutralizable epochs vs plain EBR         *)

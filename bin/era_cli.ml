@@ -171,7 +171,6 @@ let explore_cmd () =
       max_steps = Rc.steps_or cfg d.Explore.max_steps;
       domains = Rc.domains_or cfg d.Explore.domains;
       dpor = cfg.Rc.dpor;
-      steal = cfg.Rc.steal;
       progress_every = Option.value cfg.Rc.heartbeat ~default:0;
       on_progress =
         (match cfg.Rc.heartbeat with
@@ -196,14 +195,12 @@ let explore_cmd () =
   in
   let seed = Rc.seed_or cfg 2 in
   Fmt.pr
-    "exploring %s/%s (preemption bound %d, budget %d runs, %d domain%s%s%s)...@."
+    "exploring %s/%s (preemption bound %d, budget %d runs, %d domain%s%s)...@."
     S.name structure_n
     config.Explore.max_preemptions config.Explore.max_runs
     config.Explore.domains
     (if config.Explore.domains = 1 then "" else "s")
-    (if config.Explore.dpor then ", dpor" else "")
-    (if config.Explore.steal && config.Explore.domains > 1 then ", stealing"
-     else "");
+    (if config.Explore.dpor then ", dpor" else "");
   let r =
     Era.Applicability.explore ~config ~seed ?ops_per_thread:cfg.Rc.ops
       ~lincheck:cfg.Rc.lincheck ?robustness_bound:cfg.Rc.robust_bound scheme

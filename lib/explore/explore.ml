@@ -68,8 +68,6 @@ type config = {
   shrink : bool;
   shrink_budget : int;
   domains : int;
-  batch : int;
-  steal : bool;
   prune : bool;
   dpor : bool;
   record_fps : bool;
@@ -86,8 +84,6 @@ let default_config =
     shrink = true;
     shrink_budget = 500;
     domains = 1;
-    batch = 16;
-    steal = false;
     prune = true;
     dpor = false;
     record_fps = false;
@@ -221,7 +217,6 @@ type item = {
   it_choices : int array;
   it_dev : int;  (* -1 for the root item (empty prefix) *)
   it_alt : int;
-  it_level : int;  (* preemption level; bookkeeping for steal mode *)
   it_sleep : Sleep_set.entry array;  (* DPOR: entries asleep at it_dev *)
   it_group : Sleep_set.group option;  (* DPOR: sibling group at it_dev *)
 }
@@ -231,7 +226,6 @@ let root_item =
     it_choices = [||];
     it_dev = -1;
     it_alt = -1;
-    it_level = 0;
     it_sleep = [||];
     it_group = None;
   }
@@ -343,9 +337,9 @@ let state_fp_x sched ~last =
    Figure 2 counterexample).
 
    [mutate_groups] gates reporting the deviating quantum's footprint to
-   the item's sibling group: the sequential search accumulates explored
+   the item's sibling group: a single-worker search accumulates explored
    siblings there (later-popped siblings then start with them asleep);
-   parallel searches leave groups frozen at the parent-chosen edge,
+   a multi-worker search leaves groups frozen at the parent-chosen edge,
    because "explored earlier" is not well-defined across domains —
    a sound, smaller sleep set.
 
@@ -613,13 +607,13 @@ let compact_entries (entries : Sleep_set.entry array) am =
 (* Children of a completed run: deviations strictly after its prefix
    (siblings at earlier points were enumerated by ancestors). Walked in
    reverse so a LIFO consumer extends the earliest choice point first —
-   the DFS order of the sequential search. Free-switch siblings keep the
+   depth-first order. Free-switch siblings keep the
    item's preemption level, preempting siblings get level + 1; [emit]
    routes on [preempts]. In DPOR mode the alternatives come from the
    awake mask (sleeping tids are covered by construction), each node's
    children share one freshly compacted inherited-sleep array, and one
    sibling group seeded with the parent-chosen edge. *)
-let iter_children r ~dpor ~level ~emit =
+let iter_children r ~dpor ~emit =
   let len = Array.length r.ru_choices in
   for i = len - 1 downto r.ru_plen do
     let info = r.ru_info.(i) in
@@ -655,7 +649,6 @@ let iter_children r ~dpor ~level ~emit =
             it_choices = r.ru_choices;
             it_dev = i;
             it_alt = alt;
-            it_level = (if preempts then level + 1 else level);
             it_sleep = sleep;
             it_group = group;
           }
@@ -757,7 +750,7 @@ let shrink_steps target ~budget ~kind steps0 =
   (shrunk, !tests)
 
 (* ------------------------------------------------------------------ *)
-(* Search bookkeeping shared by the three engines                     *)
+(* Search bookkeeping                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let rec list_take n = function
@@ -765,9 +758,8 @@ let rec list_take n = function
   | _ when n <= 0 -> []
   | x :: tl -> x :: list_take (n - 1) tl
 
-(* Shrink a found violation and package the counterexample; shared by
-   the sequential and parallel searches (shrinking is always sequential:
-   ddmin on the one winning schedule). *)
+(* Shrink a found violation and package the counterexample (shrinking
+   is always sequential: ddmin on the one winning schedule). *)
 let build_cex config target (v, steps) =
   let shrink_runs = ref 0 in
   let steps = list_take (v.v_step + 1) steps in
@@ -796,144 +788,6 @@ let build_cex config target (v, steps) =
     },
     !shrink_runs )
 
-exception Search_over
-
-let no_cancel () = false
-
-(* ------------------------------------------------------------------ *)
-(* The bounded DFS                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let explore_sequential config target =
-  let dpor = config.dpor in
-  let visited : (int, int) Hashtbl.t = Hashtbl.create 8192 in
-  let fps = if config.record_fps then Some (Hashtbl.create 1024) else None in
-  let fp_check fp mask =
-    (match fps with Some t -> Hashtbl.replace t fp () | None -> ());
-    if config.prune then
-      match Hashtbl.find_opt visited fp with
-      | Some stored when stored land lnot mask = 0 -> true
-      | Some stored ->
-        Hashtbl.replace visited fp (stored land mask);
-        false
-      | None ->
-        Hashtbl.replace visited fp mask;
-        false
-    else false
-  in
-  let sc = scratch () in
-  let runs = ref 0 in
-  let states = ref 0 in
-  let pruned_n = ref 0 in
-  let sleep_cuts = ref 0 in
-  let failed = ref 0 in
-  let found = ref None in
-  let found_level = ref None in
-  let levels_completed = ref 0 in
-  let level = ref 0 in
-  (* Iterative preemption bounding: the level-[k] stack holds items
-     whose deviation needed its [k]-th preemption; free-switch siblings
-     stay within the level, preempting siblings seed level [k+1]. *)
-  let stack = ref [ root_item ] in
-  let deferred = ref [] in
-  (try
-     while !level <= config.max_preemptions do
-       while !stack <> [] do
-         if !runs >= config.max_runs then raise Search_over;
-         match !stack with
-         | [] -> assert false
-         | item :: rest ->
-           stack := rest;
-           let r =
-             match config.fault_hook with
-             | None ->
-               Some
-                 (run_one target ~dpor ~mutate_groups:true
-                    ~max_steps:config.max_steps ~fp_check ~cancel:no_cancel
-                    ~item sc)
-             | Some h -> (
-               try
-                 h !runs;
-                 Some
-                   (run_one target ~dpor ~mutate_groups:true
-                      ~max_steps:config.max_steps ~fp_check
-                      ~cancel:no_cancel ~item sc)
-               with _ -> None)
-           in
-           incr runs;
-           (match r with
-           | None -> incr failed
-           | Some r ->
-             states := !states + r.ru_quanta;
-             if r.ru_pruned then incr pruned_n;
-             if r.ru_sleep_cut then incr sleep_cuts;
-             (match r.ru_violation with
-             | Some v ->
-               found := Some (v, r.ru_steps);
-               found_level := Some !level;
-               raise Search_over
-             | None -> ());
-             iter_children r ~dpor ~level:!level ~emit:(fun child ~preempts ->
-                 if preempts then deferred := child :: !deferred
-                 else stack := child :: !stack));
-           (match config.on_progress with
-           | Some f
-             when config.progress_every > 0
-                  && !runs mod config.progress_every = 0 ->
-             f
-               {
-                 pg_level = !level;
-                 pg_runs = !runs;
-                 pg_states = !states;
-                 pg_pruned = !pruned_n;
-                 pg_frontier = List.length !stack;
-                 pg_deferred = List.length !deferred;
-                 pg_fp_size = Hashtbl.length visited;
-                 pg_budget_left = max 0 (config.max_runs - !runs);
-                 pg_per_domain_runs = [| !runs |];
-               }
-           | _ -> ())
-       done;
-       levels_completed := !level + 1;
-       stack := List.rev !deferred;
-       deferred := [];
-       incr level;
-       if !stack = [] then raise Search_over
-     done
-   with Search_over -> ());
-  let cex, shrink_runs =
-    match !found with
-    | None -> (None, 0)
-    | Some witness ->
-      let c, n = build_cex config target witness in
-      (Some c, n)
-  in
-  {
-    res_stats =
-      {
-        runs = !runs;
-        states = !states;
-        pruned = !pruned_n;
-        sleep_cuts = !sleep_cuts;
-        shrink_runs;
-        cex_preemptions = Option.map (fun _ -> Option.get !found_level) cex;
-        levels_completed = !levels_completed;
-        failed_runs = !failed;
-        domains_used = 1;
-        per_domain_runs = [ !runs ];
-      };
-    res_cex = cex;
-    res_fps =
-      (match fps with
-      | None -> []
-      | Some t ->
-        List.sort compare (Hashtbl.fold (fun fp () acc -> fp :: acc) t []));
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Shared pieces of the two parallel engines                          *)
-(* ------------------------------------------------------------------ *)
-
 (* Reserve one run slot against the shared budget; the slot ordinal
    doubles as the fault-hook's run index. A compare-and-set loop rather
    than fetch-and-add-then-rollback: the optimistic increment could
@@ -955,53 +809,42 @@ let make_reserve ~runs ~max_runs ~budget_out =
   in
   reserve
 
-(* Per-worker run counters. Slot [w] is written only by worker [w], but
-   the coordinator's heartbeat reads run concurrently: with a plain int
-   array those reads raced the writes (unsynchronized in the OCaml
-   memory model — the data race satellite this PR fixes), so each slot
-   is an [Atomic.t]. No padding: OCaml 5.1 has no [Atomic.make_contended],
-   and one write per {e run} (not per quantum) is far too cold for false
-   sharing to matter. *)
-let make_per_domain domains = Array.init domains (fun _ -> Atomic.make 0)
-
-let per_domain_snapshot a = Array.map Atomic.get a
-
-let parallel_fp_check ~fps ~prune visited =
-  fun fp mask ->
-    (match fps with Some t -> Fp_table.add t fp | None -> ());
-    if prune then Fp_table.check_covered visited fp ~mask
-    else false
-
 (* ------------------------------------------------------------------ *)
-(* Parallel search: level-synchronous shared queue                    *)
+(* The search loop                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Same level-synchronous frontier as the sequential search — every
-   schedule within preemption bound [k] is covered before any schedule
-   needing [k+1], so a reported violation still carries the minimal
-   bound — but within a level the work items are sharded across
-   [domains] workers through a batched work queue. Each worker owns a
-   private re-execution loop (every run builds a fresh heap/monitor/
-   scheduler, so nothing of the simulation itself is shared); the only
-   cross-domain state is the work queue, the lock-striped visited table,
-   the atomic budget/stat counters, and the first-violation latch. On a
-   violation the latch cancels in-flight runs (polled once per quantum)
-   and shrinking proceeds sequentially on the winning schedule.
+(* Iterative preemption bounding over a level-synchronous frontier: the
+   level-[k] stack holds items whose deviation needed their [k]-th
+   preemption. [domains] workers take items one at a time from a shared
+   LIFO stack, push same-level (free-switch) children back onto it, and
+   defer preempting children to level [k+1], which starts only once
+   level [k] has quiesced. So every schedule within bound [k] is covered
+   before any needing [k+1], and a reported violation carries the
+   minimal bound in every mode.
 
-   Which violating schedule wins the latch depends on worker timing, so
-   across domain counts the reported counterexample may differ — but
-   never its validity (it is always a concretely witnessed execution,
-   re-checkable by sequential replay), and thanks to the level barrier
-   never its preemption level. With pruning on, run/state counts for
-   [domains > 1] are timing-dependent too: the visited table fills in a
-   different order, so different runs get cut short. [domains = 1] never
-   enters this code path and stays bit-identical to the sequential
-   search. *)
-let explore_parallel config target ~domains =
+   With one worker the loop is the CHESS-style sequential DFS, bit for
+   bit: children are pushed in the order a sequential stack receives
+   them, the next level starts from the earliest-deferred child, and
+   DPOR sibling groups accumulate explored siblings
+   ([~mutate_groups:true]). With several workers each keeps a private
+   re-execution loop (every run builds a fresh heap/monitor/scheduler,
+   so nothing of the simulation is shared); the only cross-domain state
+   is the work stack, the lock-striped visited table, the atomic
+   budget/stat counters, and the first-violation latch, which cancels
+   in-flight runs (polled once per quantum) before shrinking proceeds
+   sequentially on the winning schedule. Which violating schedule wins
+   the latch depends on worker timing, and with pruning on so do the
+   run/state counts: the visited table fills in a different order. *)
+let explore ?(config = default_config) target =
+  let domains = max 1 config.domains in
   let dpor = config.dpor in
+  let mutate_groups = domains = 1 in
   let visited = Fp_table.create () in
   let fps = if config.record_fps then Some (Fp_table.create ()) else None in
-  let fp_check = parallel_fp_check ~fps ~prune:config.prune visited in
+  let fp_check fp mask =
+    (match fps with Some t -> Fp_table.add t fp | None -> ());
+    config.prune && Fp_table.check_covered visited fp ~mask
+  in
   let runs = Atomic.make 0 in
   let states = Atomic.make 0 in
   let pruned_n = Atomic.make 0 in
@@ -1013,38 +856,41 @@ let explore_parallel config target ~domains =
   let found_m = Mutex.create () in
   let found = ref None in
   let found_level = ref 0 in
-  let reserve =
-    make_reserve ~runs ~max_runs:config.max_runs ~budget_out
-  in
+  let reserve = make_reserve ~runs ~max_runs:config.max_runs ~budget_out in
+  (* Per-worker run counters. Slot [w] is written only by worker [w], but
+     the heartbeat reads them all concurrently, so each slot is an
+     [Atomic.t]. No padding: OCaml 5.1 has no [Atomic.make_contended],
+     and one write per {e run} (not per quantum) is far too cold for
+     false sharing to matter. *)
+  let per_domain = Array.init domains (fun _ -> Atomic.make 0) in
+  let per_domain_runs () = Array.map Atomic.get per_domain in
   let levels_completed = ref 0 in
-  let level = ref 0 in
-  let frontier = ref [ root_item ] in
-  let stop_all = ref false in
-  let per_domain = make_per_domain domains in
   let last_report = ref 0 in
-  while (not !stop_all) && !level <= config.max_preemptions do
-    let q = Work_queue.create ~batch:config.batch () in
+  (* [frontier] lists the level's items top of the stack first. *)
+  let rec search_level level frontier =
+    let q = Work_queue.create () in
+    Work_queue.push q frontier;
     let deferred_m = Mutex.create () in
-    let deferred = ref [] in
-    Work_queue.push_batch q !frontier;
-    let this_level = !level in
-    (* Heartbeats come from the coordinator only — the [on_progress]
-       callback then never needs to be domain-safe. *)
+    let deferred = ref [] in  (* newest first *)
+    (* Heartbeats come from worker 0 only — the [on_progress] callback
+       then never needs to be domain-safe. *)
     let maybe_report () =
       match config.on_progress with
       | Some f when config.progress_every > 0 ->
-        let r = Atomic.get runs in
-        if r - !last_report >= config.progress_every then begin
+        if Atomic.get runs - !last_report >= config.progress_every then begin
+          (* The total is summed from the same per-worker snapshot the
+             beat carries: read from [runs] instead, it would race the
+             other workers' reservations and disagree with the
+             breakdown. *)
+          let counts = per_domain_runs () in
+          let r = Array.fold_left ( + ) 0 counts in
           last_report := r;
-          let deferred_n =
-            Mutex.lock deferred_m;
-            let n = List.length !deferred in
-            Mutex.unlock deferred_m;
-            n
-          in
+          Mutex.lock deferred_m;
+          let deferred_n = List.length !deferred in
+          Mutex.unlock deferred_m;
           f
             {
-              pg_level = this_level;
+              pg_level = level;
               pg_runs = r;
               pg_states = Atomic.get states;
               pg_pruned = Atomic.get pruned_n;
@@ -1052,76 +898,68 @@ let explore_parallel config target ~domains =
               pg_deferred = deferred_n;
               pg_fp_size = Fp_table.size visited;
               pg_budget_left = max 0 (config.max_runs - r);
-              pg_per_domain_runs = per_domain_snapshot per_domain;
+              pg_per_domain_runs = counts;
             }
         end
       | _ -> ()
+    in
+    let run_item sc slot item =
+      let go () =
+        run_one target ~dpor ~mutate_groups ~max_steps:config.max_steps
+          ~fp_check ~cancel:cancelled ~item sc
+      in
+      match config.fault_hook with
+      | None -> Some (go ())
+      | Some h -> (
+        try
+          h slot;
+          Some (go ())
+        with _ -> None)
+    in
+    let process wid sc item =
+      match reserve () with
+      | None -> Work_queue.stop q
+      | Some slot -> (
+        Atomic.incr per_domain.(wid);
+        match run_item sc slot item with
+        | None -> Atomic.incr failed
+        | Some r -> (
+          ignore (Atomic.fetch_and_add states r.ru_quanta);
+          if r.ru_pruned then Atomic.incr pruned_n;
+          if r.ru_sleep_cut then Atomic.incr sleep_cuts;
+          match r.ru_violation with
+          | Some v ->
+            Mutex.lock found_m;
+            if !found = None then begin
+              found := Some (v, r.ru_steps);
+              found_level := level
+            end;
+            Mutex.unlock found_m;
+            Atomic.set cancel true;
+            Work_queue.stop q
+          | None ->
+            let same = ref [] and next = ref [] in
+            iter_children r ~dpor ~emit:(fun c ~preempts ->
+                if preempts then next := c :: !next else same := c :: !same);
+            Work_queue.push q !same;
+            if !next <> [] then begin
+              Mutex.lock deferred_m;
+              deferred := !next @ !deferred;
+              Mutex.unlock deferred_m
+            end))
     in
     let worker wid =
       let sc = scratch () in
       let rec loop () =
         match Work_queue.take q with
         | None -> ()
-        | Some batch ->
-          (* [batch_done] must run even if a fault escapes, or the
-             queue's quiescence count would deadlock the level. *)
+        | Some item ->
+          (* [item_done] must run even if a fault escapes, or the
+             stack's quiescence count would deadlock the level. *)
           Fun.protect
-            ~finally:(fun () -> Work_queue.batch_done q)
-            (fun () ->
-              let same = ref [] in
-              let next = ref [] in
-              List.iter
-                (fun item ->
-                  if not (Atomic.get cancel || Atomic.get budget_out) then
-                    match reserve () with
-                    | None -> Work_queue.stop q
-                    | Some slot -> (
-                      Atomic.incr per_domain.(wid);
-                      let r =
-                        match config.fault_hook with
-                        | None ->
-                          Some
-                            (run_one target ~dpor ~mutate_groups:false
-                               ~max_steps:config.max_steps ~fp_check
-                               ~cancel:cancelled ~item sc)
-                        | Some h -> (
-                          try
-                            h slot;
-                            Some
-                              (run_one target ~dpor ~mutate_groups:false
-                                 ~max_steps:config.max_steps ~fp_check
-                                 ~cancel:cancelled ~item sc)
-                          with _ -> None)
-                      in
-                      match r with
-                      | None -> Atomic.incr failed
-                      | Some r ->
-                        ignore (Atomic.fetch_and_add states r.ru_quanta);
-                        if r.ru_pruned then Atomic.incr pruned_n;
-                        if r.ru_sleep_cut then Atomic.incr sleep_cuts;
-                        (match r.ru_violation with
-                        | Some v ->
-                          Mutex.lock found_m;
-                          if !found = None then begin
-                            found := Some (v, r.ru_steps);
-                            found_level := this_level
-                          end;
-                          Mutex.unlock found_m;
-                          Atomic.set cancel true;
-                          Work_queue.stop q
-                        | None ->
-                          iter_children r ~dpor ~level:this_level
-                            ~emit:(fun c ~preempts ->
-                              if preempts then next := c :: !next
-                              else same := c :: !same))))
-                batch;
-              Work_queue.push_batch q (List.rev !same);
-              if !next <> [] then begin
-                Mutex.lock deferred_m;
-                deferred := List.rev_append !next !deferred;
-                Mutex.unlock deferred_m
-              end);
-          if wid = 0 then maybe_report ();
+            ~finally:(fun () -> Work_queue.item_done q)
+            (fun () -> process wid sc item);
+          if wid = 0 && not (Atomic.get cancel) then maybe_report ();
           loop ()
       in
       loop ()
@@ -1131,14 +969,13 @@ let explore_parallel config target ~domains =
     in
     worker 0;
     List.iter Domain.join spawned;
-    if Atomic.get cancel || Atomic.get budget_out then stop_all := true
-    else begin
-      levels_completed := !level + 1;
-      frontier := List.rev !deferred;
-      incr level;
-      if !frontier = [] then stop_all := true
+    if not (Atomic.get cancel || Atomic.get budget_out) then begin
+      levels_completed := level + 1;
+      if level < config.max_preemptions && !deferred <> [] then
+        search_level (level + 1) (List.rev !deferred)
     end
-  done;
+  in
+  if config.max_preemptions >= 0 then search_level 0 [ root_item ];
   let cex, shrink_runs =
     match !found with
     | None -> (None, 0)
@@ -1158,7 +995,7 @@ let explore_parallel config target ~domains =
         levels_completed = !levels_completed;
         failed_runs = Atomic.get failed;
         domains_used = domains;
-        per_domain_runs = Array.to_list (per_domain_snapshot per_domain);
+        per_domain_runs = Array.to_list (per_domain_runs ());
       };
     res_cex = cex;
     res_fps =
@@ -1166,200 +1003,6 @@ let explore_parallel config target ~domains =
       | None -> []
       | Some t -> List.sort compare (Fp_table.elements t));
   }
-
-(* ------------------------------------------------------------------ *)
-(* Parallel search: randomized work stealing                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Decentralized alternative to the level-synchronous queue: each worker
-   owns a deque, pushes a run's children locally (LIFO — depth-first,
-   which keeps the frontier from ballooning), and steals half of a
-   random victim's items when its own deque drains. There are no level
-   barriers, so no worker ever idles at a level boundary — the trade-off
-   is that preemption levels interleave: a reported violation's level is
-   the level of the item that found it, NOT guaranteed minimal (the
-   sequential and queue engines do guarantee minimality). Preemption
-   bounding itself still holds — items beyond [max_preemptions] are
-   never created.
-
-   Termination is a single atomic count of live items (pushed and not
-   yet fully processed): a worker that cannot pop or steal exits once
-   the count hits zero — nobody holds an item, so nobody can produce
-   more. Stolen items move between deques without touching the count. *)
-let explore_steal config target ~domains =
-  let dpor = config.dpor in
-  let visited = Fp_table.create () in
-  let fps = if config.record_fps then Some (Fp_table.create ()) else None in
-  let fp_check = parallel_fp_check ~fps ~prune:config.prune visited in
-  let runs = Atomic.make 0 in
-  let states = Atomic.make 0 in
-  let pruned_n = Atomic.make 0 in
-  let sleep_cuts = Atomic.make 0 in
-  let failed = Atomic.make 0 in
-  let budget_out = Atomic.make false in
-  let cancel = Atomic.make false in
-  let cancelled () = Atomic.get cancel in
-  let found_m = Mutex.create () in
-  let found = ref None in
-  let found_level = ref 0 in
-  let reserve =
-    make_reserve ~runs ~max_runs:config.max_runs ~budget_out
-  in
-  let per_domain = make_per_domain domains in
-  let items = Atomic.make 1 in
-  let deques = Array.init domains (fun _ -> Steal_deque.create ()) in
-  Steal_deque.push deques.(0) root_item;
-  let last_report = ref 0 in
-  let maybe_report level =
-    match config.on_progress with
-    | Some f when config.progress_every > 0 ->
-      let r = Atomic.get runs in
-      if r - !last_report >= config.progress_every then begin
-        last_report := r;
-        f
-          {
-            pg_level = level;
-            pg_runs = r;
-            pg_states = Atomic.get states;
-            pg_pruned = Atomic.get pruned_n;
-            pg_frontier = Atomic.get items;
-            pg_deferred = 0;
-            pg_fp_size = Fp_table.size visited;
-            pg_budget_left = max 0 (config.max_runs - r);
-            pg_per_domain_runs = per_domain_snapshot per_domain;
-          }
-      end
-    | _ -> ()
-  in
-  let worker wid =
-    let sc = scratch () in
-    (* Cheap per-worker LCG for victim selection; distinct odd seeds per
-       worker. Randomized victim choice is what spreads steal pressure —
-       a fixed scan order would hammer worker 0's deque. *)
-    let rng = ref (((wid * 0x9E3779B9) + 0x6D2B79F5) lor 1) in
-    let next_victim () =
-      (* Java-style 48-bit LCG; victim index from the high bits. *)
-      rng := ((!rng * 25214903917) + 11) land 0xFFFFFFFFFFFF;
-      let v = (!rng lsr 17) mod domains in
-      if v = wid then (v + 1) mod domains else v
-    in
-    let stop () =
-      Atomic.get cancel || Atomic.get budget_out || Atomic.get items = 0
-    in
-    let process item =
-      Fun.protect
-        ~finally:(fun () -> ignore (Atomic.fetch_and_add items (-1)))
-        (fun () ->
-          match reserve () with
-          | None -> ()
-          | Some slot -> (
-            Atomic.incr per_domain.(wid);
-            let r =
-              match config.fault_hook with
-              | None ->
-                Some
-                  (run_one target ~dpor ~mutate_groups:false
-                     ~max_steps:config.max_steps ~fp_check ~cancel:cancelled
-                     ~item sc)
-              | Some h -> (
-                try
-                  h slot;
-                  Some
-                    (run_one target ~dpor ~mutate_groups:false
-                       ~max_steps:config.max_steps ~fp_check
-                       ~cancel:cancelled ~item sc)
-                with _ -> None)
-            in
-            match r with
-            | None -> Atomic.incr failed
-            | Some r ->
-              ignore (Atomic.fetch_and_add states r.ru_quanta);
-              if r.ru_pruned then Atomic.incr pruned_n;
-              if r.ru_sleep_cut then Atomic.incr sleep_cuts;
-              (match r.ru_violation with
-              | Some v ->
-                Mutex.lock found_m;
-                if !found = None then begin
-                  found := Some (v, r.ru_steps);
-                  found_level := item.it_level
-                end;
-                Mutex.unlock found_m;
-                Atomic.set cancel true
-              | None ->
-                iter_children r ~dpor ~level:item.it_level
-                  ~emit:(fun c ~preempts ->
-                    ignore preempts;
-                    if c.it_level <= config.max_preemptions then begin
-                      (* count before push: an item in a deque is always
-                         accounted for, so [items = 0] really means
-                         "no work anywhere" *)
-                      Atomic.incr items;
-                      Steal_deque.push deques.(wid) c
-                    end))));
-      if wid = 0 then maybe_report item.it_level
-    in
-    let rec loop () =
-      match Steal_deque.pop deques.(wid) with
-      | Some item ->
-        process item;
-        loop ()
-      | None ->
-        if stop () then ()
-        else begin
-          (match Steal_deque.steal_half deques.(next_victim ()) with
-          | [] -> Domain.cpu_relax ()
-          | stolen ->
-            (* Oldest first into our own deque: the LIFO pop then starts
-               from the newest stolen item, preserving victim order. *)
-            List.iter (Steal_deque.push deques.(wid)) stolen);
-          loop ()
-        end
-    in
-    loop ()
-  in
-  let spawned =
-    List.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
-  in
-  worker 0;
-  List.iter Domain.join spawned;
-  let finished_naturally =
-    not (Atomic.get cancel || Atomic.get budget_out)
-  in
-  let cex, shrink_runs =
-    match !found with
-    | None -> (None, 0)
-    | Some witness ->
-      let c, n = build_cex config target witness in
-      (Some c, n)
-  in
-  {
-    res_stats =
-      {
-        runs = Atomic.get runs;
-        states = Atomic.get states;
-        pruned = Atomic.get pruned_n;
-        sleep_cuts = Atomic.get sleep_cuts;
-        shrink_runs;
-        cex_preemptions = Option.map (fun _ -> !found_level) cex;
-        (* no level barrier: either the whole bounded space was covered
-           (all levels), or the early stop makes the notion moot *)
-        levels_completed =
-          (if finished_naturally then config.max_preemptions + 1 else 0);
-        failed_runs = Atomic.get failed;
-        domains_used = domains;
-        per_domain_runs = Array.to_list (per_domain_snapshot per_domain);
-      };
-    res_cex = cex;
-    res_fps =
-      (match fps with
-      | None -> []
-      | Some t -> List.sort compare (Fp_table.elements t));
-  }
-
-let explore ?(config = default_config) target =
-  if config.domains <= 1 then explore_sequential config target
-  else if config.steal then explore_steal config target ~domains:config.domains
-  else explore_parallel config target ~domains:config.domains
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                      *)

@@ -45,14 +45,14 @@
     [Sched.Script] ([Run (tid, n)] instructions), and serialized as a
     replayable JSON counterexample ({!save} / {!load} / {!replay}).
 
-    The search is embarrassingly parallel — every run is a stateless
-    re-execution of a choice-point prefix — so [config.domains > 1]
-    shards the frontier across OCaml 5 domains, in one of two shapes:
-    the default level-synchronous batched work queue (preserves minimal
-    preemption bounds), or randomized work-stealing deques
-    ([config.steal]) with no level barriers — each worker runs a private
-    depth-first loop and steals half a random victim's deque when it
-    drains. Both share a lock-striped visited-fingerprint table and a
+    There is one search loop. Each preemption level's frontier is a LIFO
+    work stack; [config.domains] workers (one by default) take items one
+    at a time, push same-level children back onto it, and defer
+    preempting children to the next level, which starts behind a barrier
+    once the level has quiesced. With one worker this is the sequential
+    depth-first search; with more, the frontier is shared across OCaml 5
+    domains — every run is a stateless re-execution of a choice-point
+    prefix — through a lock-striped visited-fingerprint table and a
     first-violation latch that cancels in-flight workers before
     shrinking proceeds sequentially on the winning schedule (see
     {!explore} for the exact determinism contract). *)
@@ -151,19 +151,10 @@ type config = {
   shrink : bool;
   shrink_budget : int;  (** execution budget for delta-debugging *)
   domains : int;
-      (** worker domains; 1 (the default) runs the exact sequential DFS,
-          [> 1] shards each preemption level's frontier across
-          [Domain.spawn] workers (see {!explore}) *)
-  batch : int;
-      (** schedule prefixes handed to a worker per queue interaction
-          (level-synchronous parallel mode only); amortizes queue
-          contention *)
-  steal : bool;
-      (** with [domains > 1], use randomized work-stealing deques
-          instead of the level-synchronous queue: no level barriers, so
-          workers never idle at level boundaries, at the price of the
-          reported violation's preemption level not being guaranteed
-          minimal. Ignored when [domains <= 1]. *)
+      (** workers taking items from each level's shared frontier. Worker
+          0 runs on the calling domain, so 1 (the default) is the exact
+          sequential DFS; [> 1] adds [domains - 1] [Domain.spawn] workers
+          (see {!explore}) *)
   prune : bool;
       (** visited-fingerprint pruning; disable only for coverage
           comparisons — the full tree is explored without it *)
@@ -187,17 +178,16 @@ type config = {
       (** emit a {!progress} snapshot roughly every this many runs;
           [0] (the default) disables telemetry entirely *)
   on_progress : (progress -> unit) option;
-      (** heartbeat consumer. Always invoked on the calling domain (the
-          parallel search reports from its coordinator worker), so it
+      (** heartbeat consumer. Always invoked on the calling domain (only
+          worker 0, which runs there, reports), so it
           may print or mutate caller state without synchronization. It
           runs inside the search loop — keep it cheap. *)
 }
 
 val default_config : config
 (** 2 preemptions, 20_000 runs, 50_000 steps/run, shrinking on with a
-    budget of 500 runs; 1 domain, batch 16, level-synchronous (no
-    stealing), pruning on, DPOR off, no fingerprint recording, no fault
-    hook. *)
+    budget of 500 runs; 1 domain, pruning on, DPOR off, no fingerprint
+    recording, no fault hook. *)
 
 val explore : ?config:config -> target -> search_result
 (** Search the target's schedule space. Stops at the first violation
@@ -212,15 +202,11 @@ val explore : ?config:config -> target -> search_result
     - [domains = 1], [dpor = true]: still fully deterministic, but the
       sleep-set cuts change which runs execute, so stats differ from
       classic mode (fewer runs/states, same violations found).
-    - [domains > 1], level-synchronous (default): level barriers
-      preserve the iterative-bounding order, so a found violation still
-      carries the minimal preemption bound; {e which} violating schedule
-      is reported (and, with pruning, the run/state counts) may vary
-      across domain counts and timings.
-    - [domains > 1], [steal = true]: additionally, the reported
-      violation's preemption level is the level of the schedule that
-      found it — not guaranteed minimal, because levels interleave
-      without barriers.
+    - [domains > 1]: level barriers preserve the iterative-bounding
+      order, so a found violation still carries the minimal preemption
+      bound; {e which} violating schedule is reported (and, with
+      pruning, the run/state counts) may vary across domain counts and
+      timings.
     In every mode a reported violation is a concretely witnessed
     execution that replays sequentially to the same violation kind, and
     a no-violation verdict covers the same bounded schedule space. *)

@@ -58,17 +58,7 @@ let check_covered t fp ~mask =
   Mutex.unlock l;
   covered
 
-let check_and_add t fp = check_covered t fp ~mask:0
-
-let mem t fp =
-  let i = stripe_of t fp in
-  let l = t.locks.(i) in
-  Mutex.lock l;
-  let seen = Hashtbl.mem t.stripes.(i) fp in
-  Mutex.unlock l;
-  seen
-
-let add t fp = ignore (check_and_add t fp)
+let add t fp = ignore (check_covered t fp ~mask:0)
 
 let size t =
   Array.fold_left (fun acc h -> acc + Hashtbl.length h) 0 t.stripes

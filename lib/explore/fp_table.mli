@@ -20,12 +20,9 @@ val check_covered : t -> int -> mask:int -> bool
     mask) and returns [false] — atomically, so concurrent callers with
     the same fingerprint agree on a single first visitor. *)
 
-val check_and_add : t -> int -> bool
-(** [check_covered ~mask:0]: plain visited-set semantics — [true] iff
-    [fp] was already present, inserting it otherwise. *)
-
-val mem : t -> int -> bool
 val add : t -> int -> unit
+(** Insert [fp] (plain visited-set semantics, [mask = 0]). *)
+
 val size : t -> int
 
 val elements : t -> int list

@@ -1,86 +1,87 @@
-(* Mutex + condvar work queue with batched handoff and quiescence
-   detection, shared by the parallel explorer's domain workers.
+(* Mutex + condvar LIFO work stack with quiescence detection, shared by
+   the explorer's domain workers.
 
    Workers both consume and produce: a run's non-preempting children go
-   back into the same queue (they belong to the same preemption level).
-   A level is exhausted when the queue is empty AND no worker is mid-
-   batch — an in-flight worker may still push children — which is what
-   the [active] count tracks. Handoff is batched ([take] hands out up to
-   [batch] prefixes per lock acquisition, [push_batch] inserts a whole
-   child list under one) so queue contention is amortized across many
-   runs even when individual runs are microseconds long. *)
+   back onto the same stack (they belong to the same preemption level).
+   A level is exhausted when the stack is empty AND no worker is holding
+   an item — a worker mid-item may still push children — which is what
+   the [active] count tracks. LIFO order keeps the search depth-first,
+   so the frontier stays as small as a sequential DFS stack, and with a
+   single worker it pops items in exactly that DFS order. [len] is kept
+   alongside the list so [take] and [length] stay O(1). *)
 
 type 'a t = {
   m : Mutex.t;
   cond : Condition.t;
-  q : 'a Queue.t;
-  batch : int;
-  mutable active : int;  (* workers holding an unfinished batch *)
+  mutable items : 'a list;  (* head = top of the stack *)
+  mutable len : int;
+  mutable active : int;  (* workers holding an unfinished item *)
   mutable stopped : bool;
 }
 
-let create ?(batch = 16) () =
+let create () =
   {
     m = Mutex.create ();
     cond = Condition.create ();
-    q = Queue.create ();
-    batch = max 1 batch;
+    items = [];
+    len = 0;
     active = 0;
     stopped = false;
   }
 
-let push_batch t xs =
+let push t xs =
   match xs with
   | [] -> ()
   | xs ->
+    let n = List.length xs in
     Mutex.lock t.m;
-    List.iter (fun x -> Queue.add x t.q) xs;
+    t.items <- xs @ t.items;
+    t.len <- t.len + n;
     Condition.broadcast t.cond;
     Mutex.unlock t.m
 
-(* Blocks until work is available (returning up to [batch] items and
-   marking the caller active) or the level is over ([None]: stopped, or
-   drained with no active worker left to produce more). Every [Some]
-   must be matched by exactly one [batch_done]. *)
+(* Blocks until work is available (returning the top item and marking
+   the caller active) or the level is over ([None]: stopped, or drained
+   with no active worker left to produce more). Every [Some] must be
+   matched by exactly one [item_done]. *)
 let take t =
   Mutex.lock t.m;
   let rec wait () =
     if t.stopped then None
-    else if not (Queue.is_empty t.q) then begin
-      let n = min t.batch (Queue.length t.q) in
-      let acc = ref [] in
-      for _ = 1 to n do
-        acc := Queue.pop t.q :: !acc
-      done;
-      t.active <- t.active + 1;
-      Some (List.rev !acc)
-    end
-    else if t.active = 0 then begin
-      (* Globally drained: wake the other waiters so they exit too. *)
-      Condition.broadcast t.cond;
-      None
-    end
-    else begin
-      Condition.wait t.cond t.m;
-      wait ()
-    end
+    else
+      match t.items with
+      | x :: rest ->
+        t.items <- rest;
+        t.len <- t.len - 1;
+        t.active <- t.active + 1;
+        Some x
+      | [] ->
+        if t.active = 0 then begin
+          (* Globally drained: wake the other waiters so they exit too. *)
+          Condition.broadcast t.cond;
+          None
+        end
+        else begin
+          Condition.wait t.cond t.m;
+          wait ()
+        end
   in
   let r = wait () in
   Mutex.unlock t.m;
   r
 
 (* Liveness invariant, checked here and relied on by [take]: [active] is
-   the number of [take]s not yet matched by a [batch_done], every check
+   the number of [take]s not yet matched by an [item_done], every check
    and every wait happens under [t.m], and a waiter only blocks when the
-   queue is empty and [active > 0] — so the matching [batch_done] (whose
-   existence the take/batch_done contract guarantees) is still to come
+   stack is empty and [active > 0] — so the matching [item_done] (whose
+   existence the take/item_done contract guarantees) is still to come
    and will run this broadcast. A waiter can therefore never sleep
    through the last producer retiring. The broadcast is deliberately NOT
-   conditioned on queue emptiness: [push_batch] already signals its own
+   conditioned on stack emptiness: [push] already signals its own
    pushes, but making the wake-up here unconditional keeps [take]'s
    progress argument local — every event a waiter waits for (new items,
    or quiescence) broadcasts, full stop. *)
-let batch_done t =
+let item_done t =
   Mutex.lock t.m;
   assert (t.active > 0);
   t.active <- t.active - 1;
@@ -93,25 +94,8 @@ let stop t =
   Condition.broadcast t.cond;
   Mutex.unlock t.m
 
-let stopped t =
-  Mutex.lock t.m;
-  let s = t.stopped in
-  Mutex.unlock t.m;
-  s
-
 let length t =
   Mutex.lock t.m;
-  let n = Queue.length t.q in
+  let n = t.len in
   Mutex.unlock t.m;
   n
-
-(* Remaining (undistributed) items, e.g. to roll an unfinished level's
-   frontier over after an early stop. *)
-let drain t =
-  Mutex.lock t.m;
-  let acc = ref [] in
-  while not (Queue.is_empty t.q) do
-    acc := Queue.pop t.q :: !acc
-  done;
-  Mutex.unlock t.m;
-  List.rev !acc

@@ -15,7 +15,6 @@ type t = {
   steps : int option;
   robust_bound : int option;
   dpor : bool;
-  steal : bool;
   lincheck : bool;
   keys : int option;
   zipf : float option;
@@ -61,7 +60,6 @@ let parse_result ~argv ~prog ?(commands = []) ?(file_arg = false) () =
   let steps = ref None in
   let robust_bound = ref None in
   let dpor = ref false in
-  let steal = ref false in
   let lincheck = ref false in
   let keys = ref None in
   let zipf = ref None in
@@ -133,10 +131,6 @@ let parse_result ~argv ~prog ?(commands = []) ?(file_arg = false) () =
         ( "--dpor",
           Arg.Set dpor,
           " Sleep-set partial-order reduction for systematic exploration" );
-        ( "--steal",
-          Arg.Set steal,
-          " Randomized work stealing for parallel exploration (with \
-           --domains > 1)" );
         ( "--lincheck",
           Arg.Set lincheck,
           " Also hunt non-linearizable histories during systematic \
@@ -246,7 +240,6 @@ let parse_result ~argv ~prog ?(commands = []) ?(file_arg = false) () =
         steps = !steps;
         robust_bound = !robust_bound;
         dpor = !dpor;
-        steal = !steal;
         lincheck = !lincheck;
         keys = !keys;
         zipf = !zipf;

@@ -28,9 +28,6 @@ type t = {
   dpor : bool;
       (** [--dpor] — sleep-set partial-order reduction for systematic
           exploration *)
-  steal : bool;
-      (** [--steal] — randomized work stealing across explore workers
-          instead of the level-synchronous queue (with [--domains] > 1) *)
   lincheck : bool;
       (** [--lincheck] — explore also hunts non-linearizable histories
           (forces an empty prefill; see

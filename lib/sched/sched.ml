@@ -138,36 +138,6 @@ let thread_outcome t tid =
 let steps_of t tid = t.steps.(tid)
 let total_steps t = t.total
 
-(* Counter snapshot for the explorer's Snapshot module. Fiber state is
-   deliberately out of scope: a [Paused] continuation is one-shot, so a
-   mid-run thread position cannot be re-entered twice and a snapshot
-   taken there could never be restored honestly. Counters alone are
-   restorable at points where no fiber holds progress beyond the capture
-   — before the first quantum, or around work done through
-   [external_ctx] (prefill, post-run assertions). *)
-type counters = {
-  sc_steps : int array;
-  sc_total : int;
-  sc_rr_next : int;
-  sc_opid : int;
-}
-
-let snapshot_counters t =
-  {
-    sc_steps = Array.copy t.steps;
-    sc_total = t.total;
-    sc_rr_next = t.rr_next;
-    sc_opid = t.opid;
-  }
-
-let restore_counters t s =
-  if Array.length s.sc_steps <> Array.length t.steps then
-    invalid_arg "Sched.restore_counters: snapshot from a different scheduler";
-  Array.blit s.sc_steps 0 t.steps 0 (Array.length t.steps);
-  t.total <- s.sc_total;
-  t.rr_next <- s.sc_rr_next;
-  t.opid <- s.sc_opid
-
 let live t tid =
   match t.threads.(tid) with
   | Fresh _ | Paused _ -> true

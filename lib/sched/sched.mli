@@ -107,23 +107,6 @@ val total_steps : t -> int
 (** Quanta executed so far across all threads — the schedule's current
     step count. *)
 
-(** {2 Counter snapshot / restore}
-
-    Hooks for the explorer's [Snapshot] module: capture and restore the
-    scheduler's progress counters (per-thread steps, total, round-robin
-    cursor, operation-id counter). Fiber continuations are one-shot and
-    therefore {e not} captured — restoring is only honest at points
-    where no fiber holds progress beyond the capture: before the first
-    quantum, or around work done through {!external_ctx}. *)
-
-type counters
-
-val snapshot_counters : t -> counters
-
-val restore_counters : t -> counters -> unit
-(** Raises [Invalid_argument] if the snapshot came from a scheduler with
-    a different thread count. *)
-
 (** {2 Runnable-set introspection}
 
     Read-only accessors used by exploration tooling (and tests) to

@@ -1,7 +1,7 @@
 (** Domain-pool job executor: N worker domains pulling from a
     {!Fair_queue}, executing jobs (exploration runs reuse the
-    explorer's machinery — a job may itself fan out over the
-    work-stealing search engine via its [Explore] parameters), storing
+    explorer's machinery — a job may itself fan out over several
+    search domains via its [Explore] parameters), storing
     artifacts content-addressed, and streaming per-job telemetry —
     a Tracer span per job on the worker's track plus a per-job
     [lib/obs] Registry snapshot persisted as a ["registry"] artifact.

@@ -513,69 +513,3 @@ let live_nodes t = collect t (fun c -> Lifecycle.is_active c.state)
 
 let retired_nodes t =
   collect t (fun c -> Lifecycle.equal c.state Lifecycle.Retired)
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot / restore                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* A deep copy of every cell plus the allocator bookkeeping. Restoring
-   rewrites the live cells in place (cell records are only reachable
-   through the heap, never captured by simulated programs — [Word.t]
-   carries addresses, not cell references) and truncates cells born
-   after the capture, so a restored heap is observationally identical
-   to the captured one, including its incremental fingerprint. *)
-type snapshot = {
-  s_cells : cell array;
-  s_free : int list;
-  s_next_node : int;
-  s_allocs : int;
-  s_reclaims : int;
-  s_system_cells : int;
-  s_in_use : int;
-  s_free_count : int;
-  s_xfp_on : bool;
-  s_xfp : int;
-}
-
-let snapshot t =
-  let copy_cell c = { c with ptrs = Array.copy c.ptrs; aux = Array.copy c.aux } in
-  {
-    s_cells = Array.init (Vec.length t.cells) (fun i -> copy_cell (Vec.get t.cells i));
-    s_free = t.free;
-    s_next_node = t.next_node;
-    s_allocs = t.allocs;
-    s_reclaims = t.reclaims;
-    s_system_cells = t.system_cells;
-    s_in_use = t.in_use;
-    s_free_count = t.free_count;
-    s_xfp_on = t.xfp_on;
-    s_xfp = t.xfp;
-  }
-
-let restore t s =
-  let n = Array.length s.s_cells in
-  if Vec.length t.cells < n then
-    invalid_arg "Heap.restore: snapshot is from a different heap";
-  Vec.truncate t.cells n;
-  for i = 0 to n - 1 do
-    let src = s.s_cells.(i) in
-    let dst = Vec.get t.cells i in
-    if dst.addr <> src.addr then
-      invalid_arg "Heap.restore: snapshot is from a different heap";
-    dst.node <- src.node;
-    dst.state <- src.state;
-    dst.key <- src.key;
-    Array.blit src.ptrs 0 dst.ptrs 0 (Array.length src.ptrs);
-    Array.blit src.aux 0 dst.aux 0 (Array.length src.aux);
-    dst.in_system <- src.in_system;
-    dst.entry <- src.entry
-  done;
-  t.free <- s.s_free;
-  t.next_node <- s.s_next_node;
-  t.allocs <- s.s_allocs;
-  t.reclaims <- s.s_reclaims;
-  t.system_cells <- s.s_system_cells;
-  t.in_use <- s.s_in_use;
-  t.free_count <- s.s_free_count;
-  t.xfp_on <- s.s_xfp_on;
-  t.xfp <- s.s_xfp

@@ -169,20 +169,6 @@ val xfingerprint : t -> int
     two must never share a visited set. Raises [Invalid_argument] unless
     {!enable_xfingerprint} was called. *)
 
-(** {2 Snapshot / restore} *)
-
-type snapshot
-(** A deep copy of the heap: every cell's content plus the allocator
-    bookkeeping (free list, counters, incremental-fingerprint state). *)
-
-val snapshot : t -> snapshot
-
-val restore : t -> snapshot -> unit
-(** Rewrite the heap in place to the captured state; cells allocated
-    after the capture are forgotten. Only meaningful on the heap the
-    snapshot was taken from (checked by address layout; raises
-    [Invalid_argument] otherwise). *)
-
 val cell_state : t -> addr:int -> Lifecycle.t
 val node_at : t -> addr:int -> int
 val key_of_cell : t -> addr:int -> int

@@ -133,43 +133,6 @@ let emit_key_read t ~tid ~addr ~node ~unsafe =
     emit t (Event.Key_read { tid; addr; node; unsafe })
   else t.time <- t.time + 1
 
-(* Counter-and-log-length snapshot: restoring rewinds the counters and
-   truncates the event/violation/sample logs to their captured lengths.
-   Hook subscriptions are deliberately not captured — they belong to the
-   observers, not to the observed execution. *)
-type state = {
-  st_time : int;
-  st_active : int;
-  st_retired : int;
-  st_max_active : int;
-  st_max_retired : int;
-  st_events : int;
-  st_viols : int;
-  st_samps : int;
-}
-
-let snapshot t =
-  {
-    st_time = t.time;
-    st_active = t.active;
-    st_retired = t.retired;
-    st_max_active = t.max_active;
-    st_max_retired = t.max_retired;
-    st_events = Vec.length t.events;
-    st_viols = Vec.length t.viols;
-    st_samps = Vec.length t.samps;
-  }
-
-let restore t s =
-  t.time <- s.st_time;
-  t.active <- s.st_active;
-  t.retired <- s.st_retired;
-  t.max_active <- s.st_max_active;
-  t.max_retired <- s.st_max_retired;
-  Vec.truncate t.events s.st_events;
-  Vec.truncate t.viols s.st_viols;
-  Vec.truncate t.samps s.st_samps
-
 let fingerprint t =
   let mix h v = (h lxor v) * 0x100000001b3 in
   mix

@@ -80,20 +80,6 @@ val emit_key_read :
 val time : t -> int
 (** Number of events emitted so far — the simulated step clock. *)
 
-(** {2 Snapshot / restore} *)
-
-type state
-(** Captured counters and log lengths (step clock, active/retired counts
-    and maxima, event/violation/sample log positions). *)
-
-val snapshot : t -> state
-
-val restore : t -> state -> unit
-(** Rewind the counters and truncate the logs to the captured lengths.
-    Hook subscriptions are untouched: they belong to the observers, not
-    to the observed execution. Only meaningful with a [state] captured
-    from the same monitor. *)
-
 val fingerprint : t -> int
 (** Hash of the monitor's counter state (active/retired counts, their
     maxima, violation count) — deliberately {e excluding} the step clock,

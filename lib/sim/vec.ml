@@ -29,13 +29,6 @@ let set t i v =
 
 let clear t = t.len <- 0
 
-(* Shrink-only: entries beyond [n] stay in [data] (harmless garbage
-   retention, same as [clear]) — used by snapshot restore to rewind a
-   log to a captured length. *)
-let truncate t n =
-  if n < 0 || n > t.len then invalid_arg "Vec.truncate: bad length";
-  t.len <- n
-
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)

@@ -9,10 +9,6 @@ val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 val clear : 'a t -> unit
 
-val truncate : 'a t -> int -> unit
-(** [truncate t n] rewinds the length to [n] ([0 <= n <= length t]);
-    entries beyond [n] become unreachable through the API. *)
-
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc

@@ -180,7 +180,6 @@ let test_save_load_replay () =
 (* ------------------------------------------------------------------ *)
 
 let with_domains d config = { config with Ex.domains = d }
-let with_steal d config = { config with Ex.domains = d; Ex.steal = true }
 let with_dpor config = { config with Ex.dpor = true }
 let kind_of_cex c = c.Ex.c_violation.Ex.v_kind
 
@@ -293,36 +292,6 @@ let test_dpor_differential () =
             true
             (v.Ex.v_kind = kind_of_cex c)
         | None -> Alcotest.failf "%s: dpor script does not replay" label))
-    diff_cells
-
-(* Work stealing has no level barriers, so the found preemption level is
-   not compared (not guaranteed minimal) — violation kind and sequential
-   replayability still must agree with the sequential search. *)
-let test_steal_differential () =
-  List.iter
-    (fun ((label, _, _, _, _, _) as cell) ->
-      let target = target_of_cell cell in
-      let seq = Ex.explore ~config:small target in
-      let seq_kind = Option.map kind_of_cex seq.Ex.res_cex in
-      List.iter
-        (fun d ->
-          let st = Ex.explore ~config:(with_steal d small) target in
-          Alcotest.(check bool)
-            (Fmt.str "%s steal d=%d same violation kind" label d)
-            true
-            (Option.map kind_of_cex st.Ex.res_cex = seq_kind);
-          match st.Ex.res_cex with
-          | None -> ()
-          | Some c -> (
-            match (Ex.replay target c).Ex.rp_violation with
-            | Some v ->
-              Alcotest.(check bool)
-                (Fmt.str "%s steal d=%d script replays" label d)
-                true
-                (v.Ex.v_kind = kind_of_cex c)
-            | None ->
-              Alcotest.failf "%s steal d=%d: script does not replay" label d))
-        diff_domain_counts)
     diff_cells
 
 let test_dpor_deterministic () =
@@ -447,28 +416,35 @@ let arb_case =
 (* With pruning off the bounded tree is enumerated in full, so parallel
    and sequential searches must visit exactly the same runs — same
    deviation-point fingerprint set, same run/state counts — whatever the
-   worker interleaving. EBR targets have no safety violation to cut the
-   search short, which keeps the comparison exact. *)
+   worker interleaving. With pruning on the counts may differ (the
+   visited table fills in a different order), but the level barrier
+   keeps a state first reached at a higher preemption level from
+   pruning a lower-level visit, so the set of deviation-point states
+   reached must still be the sequential one — a barrier-free engine
+   fails this at bound 2, which is why the property searches to bound 2.
+   EBR targets have no safety violation to cut the search short, which
+   keeps the comparison exact. *)
 let prop_fp_equivalence =
   QCheck.Test.make
-    ~name:"pruning off: parallel visits the same fingerprint set" ~count:10
+    ~name:"parallel visits the sequential fingerprint set" ~count:10
     arb_case
     (fun (structure, ops0, ops1) ->
       let target = op_target ~structure ~scheme_name:"ebr" [| ops0; ops1 |] in
-      let config =
+      let config prune =
         {
           Ex.default_config with
-          Ex.max_preemptions = 1;
+          Ex.max_preemptions = 2;
           max_runs = 30_000;
           shrink = false;
-          prune = false;
+          prune;
           record_fps = true;
         }
       in
-      let seq = Ex.explore ~config target in
+      let seq = Ex.explore ~config:(config false) target in
       QCheck.assume (seq.Ex.res_cex = None);
       (* the space must have been exhausted, not budget-truncated *)
-      QCheck.assume (seq.Ex.res_stats.Ex.levels_completed = 2);
+      QCheck.assume (seq.Ex.res_stats.Ex.levels_completed = 3);
+      let seq_pruned = Ex.explore ~config:(config true) target in
       let same par =
         par.Ex.res_fps = seq.Ex.res_fps
         && par.Ex.res_stats.Ex.runs = seq.Ex.res_stats.Ex.runs
@@ -477,11 +453,10 @@ let prop_fp_equivalence =
       in
       List.for_all
         (fun d ->
-          (* With pruning off, the work-stealing engine enumerates the
-             same full tree as the level-synchronous one — only in a
-             different order. *)
-          same (Ex.explore ~config:(with_domains d config) target)
-          && same (Ex.explore ~config:(with_steal d config) target))
+          same (Ex.explore ~config:(with_domains d (config false)) target)
+          && (Ex.explore ~config:(with_domains d (config true)) target)
+               .Ex.res_fps
+             = seq_pruned.Ex.res_fps)
         diff_domain_counts)
 
 (* Soundness: whatever schedule a parallel search reports, the sequential
@@ -643,9 +618,6 @@ let heartbeat_stress config =
 let test_heartbeat_stress_queue () =
   heartbeat_stress (with_domains 2 Ex.default_config)
 
-let test_heartbeat_stress_steal () =
-  heartbeat_stress (with_steal 2 Ex.default_config)
-
 (* Budget boundary regression: with several workers racing the last few
    run slots, the old fetch-and-add-then-rollback reservation could
    both overshoot [max_runs] transiently and under-count after the
@@ -664,51 +636,54 @@ let budget_boundary config =
 let test_budget_boundary_queue () =
   budget_boundary (with_domains 4 Ex.default_config)
 
-let test_budget_boundary_steal () =
-  budget_boundary (with_steal 4 Ex.default_config)
-
 (* ------------------------------------------------------------------ *)
 (* Work queue: quiescence wake-up                                      *)
 (* ------------------------------------------------------------------ *)
 
 module Wq = Era_explore.Work_queue
 
-(* Single-threaded semantics: batched handoff, quiescence only when
-   drained AND no batch outstanding. *)
+(* Single-threaded semantics: LIFO order, one item per take (a pushed
+   list's head on top), quiescence only when drained AND no item
+   outstanding. *)
 let test_work_queue_semantics () =
-  let q = Wq.create ~batch:2 () in
-  Wq.push_batch q [ 1; 2; 3 ];
-  (match Wq.take q with
-  | Some [ 1; 2 ] -> ()
-  | _ -> Alcotest.fail "first take should hand out [1; 2]");
-  (* queue still holds 3 and the caller is active: more work can come *)
-  Wq.push_batch q [ 4 ];
-  Wq.batch_done q;
-  (match Wq.take q with
-  | Some [ 3; 4 ] -> ()
-  | _ -> Alcotest.fail "second take should hand out [3; 4]");
-  Wq.batch_done q;
-  Alcotest.(check bool) "drained queue with no active worker quiesces" true
+  let q = Wq.create () in
+  Wq.push q [ 1; 2; 3 ];
+  Alcotest.(check (option int)) "head of the pushed list is on top" (Some 1)
+    (Wq.take q);
+  (* the caller is active and the stack still holds 2 and 3: pushed
+     children go on top of them *)
+  Wq.push q [ 4; 5 ];
+  Alcotest.(check int) "length counts queued items" 4 (Wq.length q);
+  Wq.item_done q;
+  let order =
+    List.init 4 (fun _ ->
+        let x = Wq.take q in
+        Wq.item_done q;
+        x)
+  in
+  Alcotest.(check (list (option int))) "LIFO order"
+    [ Some 4; Some 5; Some 2; Some 3 ] order;
+  Alcotest.(check bool) "drained stack with no active worker quiesces" true
     (Wq.take q = None);
   Alcotest.(check bool) "take after quiescence stays None" true
     (Wq.take q = None)
 
 (* The lost-wakeup scenario the audit covered: a worker blocks in [take]
-   on an empty queue while the last active worker finishes a batch that
-   produced no children. [batch_done] must wake the waiter (it
+   on an empty queue while the last active worker finishes an item that
+   produced no children. [item_done] must wake the waiter (it
    broadcasts whenever the active count hits zero); if that wake-up were
    conditioned away, the waiter would sleep forever and this test would
    hang rather than fail. *)
 let test_work_queue_last_worker_wakeup () =
-  let q = Wq.create ~batch:1 () in
-  Wq.push_batch q [ 42 ];
+  let q = Wq.create () in
+  Wq.push q [ 42 ];
   (match Wq.take q with
-  | Some [ 42 ] -> ()
+  | Some 42 -> ()
   | _ -> Alcotest.fail "setup take");
   (* this domain now blocks: queue empty, one active worker remains *)
   let waiter = Domain.spawn (fun () -> Wq.take q) in
   Unix.sleepf 0.05;
-  Wq.batch_done q;
+  Wq.item_done q;
   Alcotest.(check bool) "blocked waiter woken into quiescence" true
     (Domain.join waiter = None)
 
@@ -812,8 +787,6 @@ let () =
             test_domains1_bit_identical;
           Alcotest.test_case "dpor agrees with classic on built-ins" `Quick
             test_dpor_differential;
-          Alcotest.test_case "work stealing agrees on built-ins" `Quick
-            test_steal_differential;
           Alcotest.test_case "dpor search is deterministic" `Quick
             test_dpor_deterministic;
         ] );
@@ -834,16 +807,12 @@ let () =
         [
           Alcotest.test_case "heartbeat stress, queue engine" `Quick
             test_heartbeat_stress_queue;
-          Alcotest.test_case "heartbeat stress, steal engine" `Quick
-            test_heartbeat_stress_steal;
           Alcotest.test_case "budget boundary, queue engine" `Quick
             test_budget_boundary_queue;
-          Alcotest.test_case "budget boundary, steal engine" `Quick
-            test_budget_boundary_steal;
         ] );
       ( "work-queue",
         [
-          Alcotest.test_case "batched handoff and quiescence" `Quick
+          Alcotest.test_case "LIFO order and quiescence" `Quick
             test_work_queue_semantics;
           Alcotest.test_case "last worker wakes blocked taker" `Quick
             test_work_queue_last_worker_wakeup;
