@@ -873,7 +873,12 @@ let explore ?(config = default_config) target =
     let deferred_m = Mutex.create () in
     let deferred = ref [] in  (* newest first *)
     (* Heartbeats come from worker 0 only — the [on_progress] callback
-       then never needs to be domain-safe. *)
+       then never needs to be domain-safe. Worker 0 reports after each
+       of its items and once more when the level ends: with more
+       workers than cores it can lose every [take] of a level to the
+       spawned workers, and the level-end beat still reports that
+       level's runs. With one worker the level-end beat never fires —
+       the last item's report already caught up. *)
     let maybe_report () =
       match config.on_progress with
       | Some f when config.progress_every > 0 ->
@@ -969,6 +974,7 @@ let explore ?(config = default_config) target =
     in
     worker 0;
     List.iter Domain.join spawned;
+    if not (Atomic.get cancel) then maybe_report ();
     if not (Atomic.get cancel || Atomic.get budget_out) then begin
       levels_completed := level + 1;
       if level < config.max_preemptions && !deferred <> [] then

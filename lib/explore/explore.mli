@@ -179,7 +179,8 @@ type config = {
           [0] (the default) disables telemetry entirely *)
   on_progress : (progress -> unit) option;
       (** heartbeat consumer. Always invoked on the calling domain (only
-          worker 0, which runs there, reports), so it
+          worker 0, which runs there, reports — after its own items and
+          at the end of each level), so it
           may print or mutate caller state without synchronization. It
           runs inside the search loop — keep it cheap. *)
 }

@@ -329,6 +329,42 @@ let test_domains1_bit_identical () =
   in
   Alcotest.(check (list int)) "identical shrunk schedule" (steps a) (steps b)
 
+(* The built-in twin of the QCheck fingerprint property's prune-on leg:
+   the EBR Harris cell (no violation, so nothing cuts the search short)
+   searched to bound 2 with pruning on. The level barrier keeps a state
+   first reached at a higher preemption level from pruning a lower-level
+   visit, so every worker count must reach exactly the sequential set of
+   deviation-point states and exhaust every level; a barrier-free engine
+   reaches only part of the set while still reporting the levels done. *)
+let test_prune_parallel_fp_set () =
+  let target =
+    App.explore_target ~ops_per_thread:3 (scheme "ebr") App.Harris
+  in
+  let config =
+    {
+      Ex.default_config with
+      Ex.max_preemptions = 2;
+      max_runs = 30_000;
+      shrink = false;
+      record_fps = true;
+    }
+  in
+  let seq = Ex.explore ~config target in
+  Alcotest.(check bool) "sequential search finds no violation" true
+    (seq.Ex.res_cex = None);
+  Alcotest.(check int) "sequential search exhausts every level" 3
+    seq.Ex.res_stats.Ex.levels_completed;
+  List.iter
+    (fun d ->
+      let par = Ex.explore ~config:(with_domains d config) target in
+      Alcotest.(check int)
+        (Fmt.str "d=%d exhausts every level" d)
+        3 par.Ex.res_stats.Ex.levels_completed;
+      Alcotest.(check (list int))
+        (Fmt.str "d=%d reaches the sequential fingerprint set" d)
+        seq.Ex.res_fps par.Ex.res_fps)
+    diff_domain_counts
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: random small targets, sequential vs parallel                *)
 (* ------------------------------------------------------------------ *)
@@ -618,6 +654,9 @@ let heartbeat_stress config =
 let test_heartbeat_stress_queue () =
   heartbeat_stress (with_domains 2 Ex.default_config)
 
+let test_heartbeat_stress_4d () =
+  heartbeat_stress (with_domains 4 Ex.default_config)
+
 (* Budget boundary regression: with several workers racing the last few
    run slots, the old fetch-and-add-then-rollback reservation could
    both overshoot [max_runs] transiently and under-count after the
@@ -635,6 +674,9 @@ let budget_boundary config =
 
 let test_budget_boundary_queue () =
   budget_boundary (with_domains 4 Ex.default_config)
+
+let test_budget_boundary_2d () =
+  budget_boundary (with_domains 2 Ex.default_config)
 
 (* ------------------------------------------------------------------ *)
 (* Work queue: quiescence wake-up                                      *)
@@ -686,6 +728,27 @@ let test_work_queue_last_worker_wakeup () =
   Wq.item_done q;
   Alcotest.(check bool) "blocked waiter woken into quiescence" true
     (Domain.join waiter = None)
+
+(* [stop] ends the search early (a violation found, the budget spent):
+   a taker blocked behind an active worker must be woken with [None],
+   and from then on work still on the stack is never handed out. *)
+let test_work_queue_stop () =
+  let q = Wq.create () in
+  Wq.push q [ 1 ];
+  (match Wq.take q with
+  | Some 1 -> ()
+  | _ -> Alcotest.fail "setup take");
+  (* the stack is empty but a worker is active: this taker blocks *)
+  let waiter = Domain.spawn (fun () -> Wq.take q) in
+  Unix.sleepf 0.05;
+  Wq.stop q;
+  Alcotest.(check bool) "blocked waiter woken by stop" true
+    (Domain.join waiter = None);
+  Wq.push q [ 2; 3 ];
+  Alcotest.(check int) "pushed items still counted" 2 (Wq.length q);
+  Alcotest.(check (option int)) "stop beats queued work" None (Wq.take q);
+  Wq.stop q;
+  Alcotest.(check (option int)) "stop is idempotent" None (Wq.take q)
 
 (* ------------------------------------------------------------------ *)
 (* Save: parent-directory handling                                     *)
@@ -789,6 +852,8 @@ let () =
             test_dpor_differential;
           Alcotest.test_case "dpor search is deterministic" `Quick
             test_dpor_deterministic;
+          Alcotest.test_case "prune on: parallel reaches the sequential set"
+            `Quick test_prune_parallel_fp_set;
         ] );
       ( "parallel-qcheck",
         [
@@ -807,8 +872,12 @@ let () =
         [
           Alcotest.test_case "heartbeat stress, queue engine" `Quick
             test_heartbeat_stress_queue;
+          Alcotest.test_case "heartbeat stress, 4 domains" `Quick
+            test_heartbeat_stress_4d;
           Alcotest.test_case "budget boundary, queue engine" `Quick
             test_budget_boundary_queue;
+          Alcotest.test_case "budget boundary, 2 domains" `Quick
+            test_budget_boundary_2d;
         ] );
       ( "work-queue",
         [
@@ -816,6 +885,8 @@ let () =
             test_work_queue_semantics;
           Alcotest.test_case "last worker wakes blocked taker" `Quick
             test_work_queue_last_worker_wakeup;
+          Alcotest.test_case "stop wakes takers and beats queued work" `Quick
+            test_work_queue_stop;
         ] );
       ( "save-dirs",
         [
