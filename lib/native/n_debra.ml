@@ -20,7 +20,7 @@
     - [read_link] double-checks the flag around the load, so a value
       read concurrently with a neutralization request is discarded, and
       no pointer obtained {e after} the request is ever returned;
-    - bag-freeing clears each node's [next] to a fresh link record
+    - bag-freeing resets each node's link to a fresh record
       before pooling it, so a CAS the victim attempts with a stale
       expected link (read before the request) fails on physical
       inequality instead of corrupting a pooled node.
@@ -189,11 +189,10 @@ let slow_path t =
   let horizon = e' - 2 in
   let freed =
     Limbo.free_le ds.limbo ~horizon ~free:(fun n ->
-        (* Fail-safe for neutralized laggards: a fresh [next] record
+        (* Fail-safe for neutralized laggards: a fresh link record
            means any CAS still holding a pre-neutralization expected
            link fails on physical inequality (see the module note). *)
-        Atomic.set n.Nnode.next (Nnode.link Nnode.nil);
-        Limbo.Pool.put ds.pool n)
+        Limbo.Pool.put ds.pool (Nnode.recycle n ~key:n.Nnode.key))
   in
   if freed > 0 then begin
     ds.reclaimed <- ds.reclaimed + freed;
@@ -222,15 +221,7 @@ let end_op t =
   if Atomic.get (flag_slot t) = 1 then Atomic.set (flag_slot t) 0
 
 let alloc t key =
-  let n = Limbo.Pool.take t.ds.pool in
-  let n =
-    if n == Nnode.nil then Nnode.make ~key
-    else begin
-      Atomic.set n.Nnode.next (Nnode.link Nnode.nil);
-      n.Nnode.key <- key;
-      n
-    end
-  in
+  let n = Nnode.recycle (Limbo.Pool.take t.ds.pool) ~key in
   t.fresh <- n :: t.fresh;
   n
 

@@ -118,14 +118,7 @@ let begin_op t =
 
 let end_op t = Atomic.set (announce_slot t) t.ds.ann_idle
 
-let alloc t key =
-  let n = Limbo.Pool.take t.ds.pool in
-  if n == Nnode.nil then Nnode.make ~key
-  else begin
-    Atomic.set n.Nnode.next (Nnode.link Nnode.nil);
-    n.Nnode.key <- key;
-    n
-  end
+let alloc t key = Nnode.recycle (Limbo.Pool.take t.ds.pool) ~key
 
 let retire t n =
   let ds = t.ds in

@@ -21,13 +21,13 @@ module Make (S : Nsmr.S) = struct
   let create () =
     let tail = make ~key:max_int in
     let head = make ~key:min_int in
-    Atomic.set head.next (link tail);
+    Atomic.set (next head) (link tail);
     { head; tail }
 
   let head t = t.head
 
   (* Returns (pred, pred_link, curr): [pred_link] is the link value
-     physically residing in [pred.next] and pointing (unmarked) at
+     physically residing in [next pred] and pointing (unmarked) at
      [curr]. *)
   let rec search t s key =
     let first = S.read_link s t.head in
@@ -48,7 +48,7 @@ module Make (S : Nsmr.S) = struct
       else (left, left_link, right)
     else begin
       let fresh = link right in
-      if Atomic.compare_and_set left.next left_link fresh then
+      if Atomic.compare_and_set (next left) left_link fresh then
         if right != t.tail && (S.read_link s right).marked then search t s key
         else (left, fresh, right)
       else search t s key
@@ -64,8 +64,8 @@ module Make (S : Nsmr.S) = struct
         false
       end
       else begin
-        Atomic.set node.next (link curr);
-        if Atomic.compare_and_set pred.next pred_link (link node) then true
+        Atomic.set (next node) (link curr);
+        if Atomic.compare_and_set (next pred) pred_link (link node) then true
         else loop ()
       end
     in
@@ -83,13 +83,14 @@ module Make (S : Nsmr.S) = struct
         if succ.marked then loop ()
         else if
           not
-            (Atomic.compare_and_set curr.next succ
+            (Atomic.compare_and_set (next curr) succ
                { succ with marked = true })
         then loop ()
         else begin
           if
             not
-              (Atomic.compare_and_set pred.next pred_link (link succ.target))
+              (Atomic.compare_and_set (next pred) pred_link
+                 (link succ.target))
           then ignore (search t s key);
           S.retire s curr;
           true

@@ -73,14 +73,7 @@ let begin_op t =
 
 let end_op t = clear_slots t
 
-let alloc t key =
-  let n = Limbo.Pool.take t.ds.pool in
-  if n == Nnode.nil then Nnode.make ~key
-  else begin
-    Atomic.set n.Nnode.next (Nnode.link Nnode.nil);
-    n.Nnode.key <- key;
-    n
-  end
+let alloc t key = Nnode.recycle (Limbo.Pool.take t.ds.pool) ~key
 
 (* Snapshot the slots into the domain's scratch array, then compact the
    limbo bags in place: protected nodes stay, the rest go straight to

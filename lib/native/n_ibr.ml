@@ -78,16 +78,8 @@ let alloc t key =
     let e = Atomic.fetch_and_add g.epoch 1 in
     Era_obs.Flight.advance t.fl (e + 1)
   end;
-  let n = Limbo.Pool.take t.ds.pool in
-  let n =
-    if n == Nnode.nil then Nnode.make ~key
-    else begin
-      Atomic.set n.Nnode.next (Nnode.link Nnode.nil);
-      n.Nnode.key <- key;
-      n
-    end
-  in
-  n.Nnode.birth <- Atomic.get g.epoch;
+  let n = Nnode.recycle (Limbo.Pool.take t.ds.pool) ~key in
+  Nnode.set_birth n (Atomic.get g.epoch);
   n
 
 let intersects g ~birth ~retire_epoch =

@@ -25,7 +25,7 @@ module Make (S : Nsmr.S) = struct
   let create () =
     let tail = make ~key:max_int in
     let head = make ~key:min_int in
-    Atomic.set head.next (link tail);
+    Atomic.set (next head) (link tail);
     { head; tail }
 
   let head t = t.head
@@ -41,7 +41,7 @@ module Make (S : Nsmr.S) = struct
         let curr_link = S.read_link s curr in
         if curr_link.marked then begin
           let fresh = link curr_link.target in
-          if Atomic.compare_and_set pred.next pred_link fresh then begin
+          if Atomic.compare_and_set (next pred) pred_link fresh then begin
             S.retire s curr;
             walk pred fresh
           end
@@ -63,8 +63,8 @@ module Make (S : Nsmr.S) = struct
         false
       end
       else begin
-        Atomic.set node.next (link curr);
-        if Atomic.compare_and_set pred.next pred_link (link node) then true
+        Atomic.set (next node) (link curr);
+        if Atomic.compare_and_set (next pred) pred_link (link node) then true
         else loop ()
       end
     in
@@ -83,13 +83,13 @@ module Make (S : Nsmr.S) = struct
         if succ.marked then loop ()
         else if
           not
-            (Atomic.compare_and_set curr.next succ
+            (Atomic.compare_and_set (next curr) succ
                { succ with marked = true })
         then loop ()
         else begin
           (* Unlink winner retires; if we lose, a traversal will win the
              unlink CAS and retire it. *)
-          if Atomic.compare_and_set pred.next pred_link (link succ.target)
+          if Atomic.compare_and_set (next pred) pred_link (link succ.target)
           then S.retire s curr;
           true
         end

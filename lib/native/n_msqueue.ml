@@ -20,7 +20,7 @@ module Make (S : Nsmr.S) = struct
       let last = last_l.target in
       let nxt = S.read_link s last in
       if nxt.target == nil then begin
-        if Atomic.compare_and_set last.next nxt (link node) then
+        if Atomic.compare_and_set (next last) nxt (link node) then
           ignore (Atomic.compare_and_set t.tail last_l (link node))
         else loop ()
       end

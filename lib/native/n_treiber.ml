@@ -12,7 +12,7 @@ module Make (S : Nsmr.S) = struct
     let node = S.alloc s v in
     let rec loop () =
       let old_top = Atomic.get t.top in
-      Atomic.set node.next old_top;
+      Atomic.set (next node) old_top;
       if Atomic.compare_and_set t.top old_top (link node) then ()
       else begin
         Domain.cpu_relax ();

@@ -1,6 +1,6 @@
 type node = {
+  mutable nxt : link;
   mutable key : int;
-  next : link Atomic.t;
   mutable birth : int;
 }
 
@@ -9,21 +9,25 @@ and link = {
   target : node;
 }
 
-(* The null sentinel. [target == nil] is the null test; [nil.next] is a
-   self-link so the record is well-formed, but dereferencing it is a
-   protocol violation — every traversal checks for [nil] (or a
-   structure's own tail sentinel) first. Bootstrapping the cycle needs
-   one [Obj.magic]: the placeholder is an immediate (GC-safe) and is
-   overwritten before [nil] escapes this definition. *)
-let nil =
-  let n =
-    { key = max_int; next = Atomic.make (Obj.magic 0 : link); birth = 0 }
-  in
-  Atomic.set n.next { marked = false; target = n };
-  n
+(* The null sentinel, self-linked so the record is well-formed (see
+   nnode.mli). *)
+let rec nil =
+  { nxt = { marked = false; target = nil }; key = max_int; birth = 0 }
+
+(* The node is its own atomic cell; the safety argument is in nnode.mli. *)
+let next (n : node) : link Atomic.t = Obj.magic n
 
 let link ?(marked = false) target = { marked; target }
-let make ~key = { key; next = Atomic.make (link nil); birth = 0 }
-let get n = Atomic.get n.next
+let make ~key = { nxt = link nil; key; birth = 0 }
+let get n = Atomic.get (next n)
 
+let recycle n ~key =
+  if n == nil then make ~key
+  else begin
+    Atomic.set (next n) (link nil);
+    n.key <- key;
+    n
+  end
+
+let set_birth n birth = n.birth <- birth
 let same_target a b = a.marked = b.marked && a.target == b.target

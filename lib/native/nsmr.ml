@@ -39,7 +39,7 @@ module type S = sig
   val retire : tctx -> Nnode.node -> unit
 
   val read_link : tctx -> Nnode.node -> Nnode.link
-  (** Protected load of [n.next] (protocol per scheme). *)
+  (** Protected load of [n]'s link (protocol per scheme). *)
 
   val backlog : t -> int
   (** Current total retired-but-unreclaimed nodes. *)

@@ -191,7 +191,7 @@ let follow t conn id =
     in
     let rec go () =
       drain_beats ();
-      if Job.terminal job.Job.status then begin
+      if Job.terminal (Job.progress job).status then begin
         drain_beats ();
         Wire.send_json conn (Wire.ok [ ("job", Job.summary_to_json job) ])
       end

@@ -123,9 +123,9 @@ let progress_registry (p : Ex.progress) =
 
 (* The one beat every job kind emits: pushed as the job transitions to
    [Running], so a follower always sees at least one heartbeat. *)
-let start_registry (job : Job.t) =
+let start_registry started_s =
   let reg = Registry.create () in
-  Registry.set (Registry.gauge reg "job_started_s") job.Job.started_s;
+  Registry.set (Registry.gauge reg "job_started_s") started_s;
   Registry.to_json reg
 
 (* Run the job body; returns (note, artifacts). Raises on bad input or
@@ -237,25 +237,26 @@ let run_job ?hb ~store (job : Job.t) =
   let push body =
     match hb with None -> () | Some b -> hb_push b job body
   in
-  job.Job.status <- Job.Running;
-  job.Job.started_s <- Unix.gettimeofday ();
-  push (start_registry job);
+  let started_s = Unix.gettimeofday () in
+  Atomic.set job.Job.progress
+    { Job.status = Running; started_s; finished_s = 0.; result = None };
+  push (start_registry started_s);
   let note, artifacts, status =
     match execute ~store ~push job with
     | note, artifacts -> (note, artifacts, Job.Done)
     | exception exn ->
       (Fmt.str "error: %s" (Printexc.to_string exn), [], Job.Failed)
   in
-  job.Job.finished_s <- Unix.gettimeofday ();
+  let finished_s = Unix.gettimeofday () in
   let artifacts =
     match Option.bind hb (fun b -> persist_heartbeats b ~store job) with
     | None -> artifacts
     | Some key -> artifacts @ [ ("heartbeats", key) ]
   in
-  (* Result and artifacts land before the terminal status store, so a
-     follower that wakes on [terminal] sees the complete summary. *)
-  job.Job.result <- Some { Job.note; artifacts };
-  job.Job.status <- status
+  (* Status and result land in one store, so no reader can see the
+     terminal status without the result. *)
+  Atomic.set job.Job.progress
+    { Job.status; started_s; finished_s; result = Some { note; artifacts } }
 
 let worker ~idx ~t0 ~tracer ~store ~queue ~hb st () =
   let rec loop () =
@@ -280,7 +281,7 @@ let worker ~idx ~t0 ~tracer ~store ~queue ~hb st () =
       | None -> ()
       | Some tr -> Tracer.end_span tr ~ts:ts' ~tid:idx);
       ignore (Atomic.fetch_and_add st.service_us (ts' - ts));
-      (match job.Job.status with
+      (match (Job.progress job).status with
       | Job.Done -> Atomic.incr st.served
       | _ -> Atomic.incr st.failed);
       Atomic.decr st.busy;
@@ -323,10 +324,14 @@ let stop ?(drain = true) t =
       let abandoned = Fair_queue.close_now t.queue in
       List.iter
         (fun (job : Job.t) ->
-          job.Job.status <- Job.Aborted;
-          job.Job.finished_s <- Unix.gettimeofday ();
-          job.Job.result <-
-            Some { Job.note = "aborted: daemon stopped"; artifacts = [] };
+          Atomic.set job.Job.progress
+            {
+              Job.status = Aborted;
+              started_s = 0.;
+              finished_s = Unix.gettimeofday ();
+              result =
+                Some { note = "aborted: daemon stopped"; artifacts = [] };
+            };
           Atomic.incr t.st.aborted)
         abandoned
     end;

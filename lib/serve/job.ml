@@ -26,15 +26,19 @@ type result_ = {
   artifacts : (string * string) list;
 }
 
+type progress = {
+  status : status;
+  started_s : float;
+  finished_s : float;
+  result : result_ option;
+}
+
 type t = {
   id : int;
   tenant : string;
   kind : kind;
   submitted_s : float;
-  mutable status : status;
-  mutable started_s : float;
-  mutable finished_s : float;
-  mutable result : result_ option;
+  progress : progress Atomic.t;
 }
 
 let make ~id ~tenant kind =
@@ -43,11 +47,12 @@ let make ~id ~tenant kind =
     tenant;
     kind;
     submitted_s = Unix.gettimeofday ();
-    status = Queued;
-    started_s = 0.;
-    finished_s = 0.;
-    result = None;
+    progress =
+      Atomic.make
+        { status = Queued; started_s = 0.; finished_s = 0.; result = None };
   }
+
+let progress t = Atomic.get t.progress
 
 let kind_name = function
   | Explore _ -> "explore"
@@ -160,21 +165,22 @@ let terminal = function
   | Queued | Running -> false
 
 let summary_to_json t =
+  let p = progress t in
   J.Obj
     [
       ("id", J.Int t.id);
       ("tenant", J.String t.tenant);
       ("kind", kind_to_json t.kind);
       ("label", J.String (kind_label t.kind));
-      ("status", J.String (status_name t.status));
+      ("status", J.String (status_name p.status));
       ("submitted_s", J.Float t.submitted_s);
-      ("started_s", J.Float t.started_s);
-      ("finished_s", J.Float t.finished_s);
+      ("started_s", J.Float p.started_s);
+      ("finished_s", J.Float p.finished_s);
       ( "note",
-        J.String (match t.result with None -> "" | Some r -> r.note) );
+        J.String (match p.result with None -> "" | Some r -> r.note) );
       ( "artifacts",
         J.List
-          (match t.result with
+          (match p.result with
           | None -> []
           | Some r ->
             List.map
@@ -182,17 +188,3 @@ let summary_to_json t =
                 J.Obj [ ("kind", J.String akind); ("key", J.String key) ])
               r.artifacts) );
     ]
-
-let pp_summary fmt t =
-  Fmt.pf fmt "#%d %-8s %-28s %-8s %s" t.id t.tenant (kind_label t.kind)
-    (status_name t.status)
-    (match t.result with
-    | None -> ""
-    | Some r ->
-      Fmt.str "%s%s" r.note
-        (match r.artifacts with
-        | [] -> ""
-        | a ->
-          Fmt.str " [%a]"
-            Fmt.(list ~sep:comma (pair ~sep:(any ":") string string))
-            a))

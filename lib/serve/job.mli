@@ -39,18 +39,27 @@ type result_ = {
       (** (artifact kind, content-addressed store key) *)
 }
 
+(** A job's mutable half, published whole: a terminal [status] is never
+    seen without its [result]. *)
+type progress = {
+  status : status;
+  started_s : float;  (** 0. until the executor picks it up *)
+  finished_s : float;  (** 0. until terminal *)
+  result : result_ option;  (** [Some] once terminal *)
+}
+
 type t = {
   id : int;
   tenant : string;
   kind : kind;
   submitted_s : float;  (** wall clock, [Unix.gettimeofday] *)
-  mutable status : status;
-  mutable started_s : float;  (** 0. until the executor picks it up *)
-  mutable finished_s : float;  (** 0. until terminal *)
-  mutable result : result_ option;
+  progress : progress Atomic.t;
 }
 
 val make : id:int -> tenant:string -> kind -> t
+
+val progress : t -> progress
+(** One consistent snapshot of the job's lifecycle. *)
 
 val kind_name : kind -> string
 (** ["explore"] | ["figure1"] | ["figure2"] | ["probe"]. *)
@@ -74,6 +83,6 @@ val terminal : status -> bool
 
 val summary_to_json : t -> Era_metrics.Json.t
 (** The job as the wire reports it: id, tenant, kind, status,
-    timestamps, note and artifact keys. *)
+    timestamps, note and artifact keys, all from one {!progress}
+    snapshot. *)
 
-val pp_summary : Format.formatter -> t -> unit

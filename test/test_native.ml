@@ -229,6 +229,176 @@ let test_native_queue_fifo_per_producer () =
   Alcotest.(check bool) "FIFO per producer" true !ok
 
 (* ------------------------------------------------------------------ *)
+(* The node as its own atomic cell                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [Nnode.next] views the node itself as a [link Atomic.t]: every atomic
+   primitive must act on the node's link and nothing else. *)
+let test_nnode_cell () =
+  let open Nnode in
+  Alcotest.(check bool) "nil's link targets nil" true ((get nil).target == nil);
+  let a = make ~key:1 and b = make ~key:2 in
+  Alcotest.(check bool) "fresh link is unmarked nil" true
+    ((get a).target == nil && not (get a).marked);
+  let l = link b in
+  Atomic.set (next a) l;
+  Alcotest.(check bool) "set is seen by get" true (get a == l);
+  Alcotest.(check bool) "CAS with an equal but stale link fails" false
+    (Atomic.compare_and_set (next a) (link b) (link nil));
+  Alcotest.(check bool) "failed CAS leaves the link" true (get a == l);
+  let m = link ~marked:true b in
+  Alcotest.(check bool) "CAS with the read link succeeds" true
+    (Atomic.compare_and_set (next a) l m);
+  Alcotest.(check bool) "CAS result is seen by get" true (get a == m);
+  Alcotest.(check bool) "exchange returns the old link" true
+    (Atomic.exchange (next a) l == m);
+  Alcotest.(check (pair int int)) "key and birth untouched" (1, 0)
+    (a.key, a.birth);
+  (* Write barrier: a major-heap node pointing at a minor-heap link must
+     keep it alive and intact across a minor collection. *)
+  Gc.full_major ();
+  Atomic.set (next a) (link (make ~key:42));
+  Gc.minor ();
+  Gc.full_major ();
+  Alcotest.(check int) "young target survives promotion" 42
+    (get a).target.key;
+  let r = recycle a ~key:7 in
+  Alcotest.(check bool) "recycle reuses the node" true (r == a);
+  Alcotest.(check int) "recycle sets the key" 7 a.key;
+  Alcotest.(check bool) "recycle installs a fresh unmarked nil link" true
+    ((get a).target == nil && (not (get a).marked) && get a != l);
+  Alcotest.(check bool) "recycling nil allocates" true
+    (recycle nil ~key:3 != nil && nil.key = max_int)
+
+let with_small_minor_heap f =
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 4096 };
+  Fun.protect f ~finally:(fun () -> Gc.set saved)
+
+let splitmix seed =
+  let st = ref seed in
+  fun () ->
+    st := Int64.add !st 0x9E3779B97F4A7C15L;
+    Int64.to_int (Int64.shift_right_logical !st 3)
+
+(* Spin until both workers are running, so their phases overlap instead
+   of one finishing while the other domain is still being spawned. *)
+let start_together ready =
+  Atomic.incr ready;
+  while Atomic.get ready < 2 do
+    Domain.cpu_relax ()
+  done
+
+let check_reclaim_accounting g =
+  let st = N_ebr.stats g in
+  Alcotest.(check int) "reclaimed + backlog = retired" st.Nsmr.retired
+    (st.Nsmr.reclaimed + st.Nsmr.backlog)
+
+module type EBR_SET = sig
+  type t
+
+  val create : unit -> t
+  val insert : t -> N_ebr.tctx -> int -> bool
+  val delete : t -> N_ebr.tctx -> int -> bool
+  val to_list : t -> N_ebr.tctx -> int list
+end
+
+(* Two-domain churn under a tiny minor heap, with full major collections
+   between phases, so link CASes keep crossing the minor/major boundary.
+   The checks are perfbench's: a strictly ascending list, conserved
+   size, and [reclaimed + backlog = retired] at quiescence. *)
+let set_churn (module L : EBR_SET) () =
+  with_small_minor_heap @@ fun () ->
+  let keys = 32 and phase_ops = 100_000 in
+  let g = N_ebr.create ~ndomains:2 in
+  let l = L.create () in
+  let s0 = N_ebr.thread g 0 in
+  let prefill = ref 0 in
+  for k = 0 to keys - 1 do
+    if k land 1 = 0 && L.insert l s0 k then incr prefill
+  done;
+  let ready = Atomic.make 0 in
+  let worker d () =
+    let s = N_ebr.thread g d in
+    let next = splitmix (Int64.of_int (77 + d)) in
+    start_together ready;
+    let ins = ref 0 and del = ref 0 in
+    for _ = 1 to phase_ops do
+      let k = next () mod keys in
+      if next () land 1 = 0 then (if L.insert l s k then incr ins)
+      else if L.delete l s k then incr del
+    done;
+    (!ins, !del)
+  in
+  let net = ref !prefill in
+  for _ = 1 to 3 do
+    Gc.full_major ();
+    Atomic.set ready 0;
+    let d1 = Domain.spawn (worker 1) in
+    let i0, d0 = worker 0 () in
+    let i1, d1 = Domain.join d1 in
+    net := !net + i0 + i1 - d0 - d1
+  done;
+  Gc.full_major ();
+  let final = L.to_list l s0 in
+  let rec ascending = function
+    | a :: (b :: _ as tl) -> a < b && ascending tl
+    | _ -> true
+  in
+  Alcotest.(check bool) "strictly ascending" true (ascending final);
+  Alcotest.(check int) "prefill + inserts - deletes" !net
+    (List.length final);
+  check_reclaim_accounting g
+
+let test_treiber_churn () =
+  with_small_minor_heap @@ fun () ->
+  let module T = N_treiber.Make (N_ebr) in
+  let phase_ops = 100_000 and prefill = 32 in
+  let g = N_ebr.create ~ndomains:2 in
+  let t = T.create () in
+  let s0 = N_ebr.thread g 0 in
+  for v = 1 to prefill do
+    T.push t s0 (-v)
+  done;
+  let ready = Atomic.make 0 in
+  let worker phase d () =
+    let s = N_ebr.thread g d in
+    let next = splitmix (Int64.of_int (5 + d)) in
+    start_together ready;
+    let pushed = ref 0 and popped = ref [] in
+    for i = 1 to phase_ops do
+      if next () land 1 = 0 then begin
+        T.push t s ((((phase * 2) + d) * phase_ops) + i);
+        incr pushed
+      end
+      else
+        match T.pop t s with Some v -> popped := v :: !popped | None -> ()
+    done;
+    (!pushed, !popped)
+  in
+  let pushes = ref prefill and popped = ref [] in
+  for phase = 0 to 2 do
+    Gc.full_major ();
+    Atomic.set ready 0;
+    let d1 = Domain.spawn (worker phase 1) in
+    let p0, v0 = worker phase 0 () in
+    let p1, v1 = Domain.join d1 in
+    pushes := !pushes + p0 + p1;
+    popped := v0 @ v1 @ !popped
+  done;
+  Gc.full_major ();
+  let rec drain acc =
+    match T.pop t s0 with Some v -> drain (v :: acc) | None -> acc
+  in
+  let remaining = drain [] in
+  Alcotest.(check int) "prefill + pushes - pops" (!pushes - List.length !popped)
+    (List.length remaining);
+  let seen = List.sort_uniq compare (remaining @ !popped) in
+  Alcotest.(check int) "every value popped or left exactly once" !pushes
+    (List.length seen);
+  check_reclaim_accounting g
+
+(* ------------------------------------------------------------------ *)
 (* Limbo bags and pools                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -329,7 +499,7 @@ let hp_protected_never_pooled =
                reject a retired one at the list layer). *)
             if not retired.(i) then begin
               N_hp.begin_op t1;
-              Atomic.set holder.Nnode.next (Nnode.link nodes.(i));
+              Atomic.set (Nnode.next holder) (Nnode.link nodes.(i));
               ignore (N_hp.read_link t1 holder);
               protected_ := i
             end
@@ -409,7 +579,7 @@ let ibr_reserved_never_pooled =
             if retired.(i) < 0 && not escaped.(i) then begin
               N_ibr.begin_op t1;
               let lo = N_ibr.current_epoch g in
-              Atomic.set holder.Nnode.next (Nnode.link nodes.(i));
+              Atomic.set (Nnode.next holder) (Nnode.link nodes.(i));
               ignore (N_ibr.read_link t1 holder);
               resv := Some (lo, N_ibr.current_epoch g)
             end
@@ -519,7 +689,7 @@ let debra_neutralized_never_derefs_pooled =
                obtained before the retire — HP's protected-then-retired
                case, played on epochs). *)
             if retire_att.(i) = -1 || retire_att.(i) = !att then begin
-              Atomic.set holder.Nnode.next (Nnode.link nodes.(i));
+              Atomic.set (Nnode.next holder) (Nnode.link nodes.(i));
               match N_debra.read_link t1 holder with
               | _ ->
                 (* No flag: nothing retired during this attempt may
@@ -687,6 +857,16 @@ let () =
             test_native_parallel_churn_counts;
           Alcotest.test_case "queue FIFO" `Slow
             test_native_queue_fifo_per_producer;
+        ] );
+      ( "node cell",
+        [
+          Alcotest.test_case "atomic view of the link" `Quick test_nnode_cell;
+          Alcotest.test_case "michael+ebr churn across GC" `Slow
+            (set_churn (module N_michael.Make (N_ebr)));
+          Alcotest.test_case "harris+ebr churn across GC" `Slow
+            (set_churn (module N_harris.Make (N_ebr)));
+          Alcotest.test_case "treiber+ebr churn across GC" `Slow
+            test_treiber_churn;
         ] );
       ( "limbo",
         [

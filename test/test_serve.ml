@@ -281,16 +281,62 @@ let test_run_job_probe () =
   with_store (fun store ->
       let j = Job.make ~id:1 ~tenant:"t" (Job.Probe { spin = 100 }) in
       Executor.run_job ~store j;
-      Alcotest.(check string) "done" "done" (Job.status_name j.Job.status);
+      let p = Job.progress j in
+      Alcotest.(check string) "done" "done" (Job.status_name p.Job.status);
       Alcotest.(check bool) "timestamps set" true
-        (j.Job.finished_s >= j.Job.started_s && j.Job.started_s > 0.))
+        (p.Job.finished_s >= p.Job.started_s && p.Job.started_s > 0.))
+
+(* The executor publishes a job's result and its terminal status from a
+   worker domain while daemon threads summarise the job for pollers and
+   followers. A summary must never pair a terminal status with a missing
+   result: a poller that sees "done" stops polling, so a torn summary is
+   a lost job. Probe jobs finish in microseconds, so one domain runs
+   them back to back while a second polls the latest one. *)
+let test_summary_never_torn () =
+  with_store (fun store ->
+      let probe = Job.Probe { spin = 0 } in
+      let current = Atomic.make (Job.make ~id:0 ~tenant:"t" probe) in
+      let stop = Atomic.make false and terminal = Atomic.make 0 in
+      let poller () =
+        let torn = ref 0 in
+        while not (Atomic.get stop) do
+          let s = Job.summary_to_json (Atomic.get current) in
+          let str k = Option.bind (Json.member k s) Json.to_str in
+          match Option.bind (str "status") Job.status_of_name with
+          | Some st when Job.terminal st ->
+            Atomic.incr terminal;
+            if str "note" = Some "" then incr torn
+          | _ -> ()
+        done;
+        !torn
+      in
+      let d = Domain.spawn poller in
+      (* Run jobs until the poller has judged enough terminal summaries,
+         however the two domains get scheduled; the deadline only bounds
+         a starved poller. *)
+      let t0 = Unix.gettimeofday () in
+      let id = ref 0 in
+      while
+        Atomic.get terminal < 10_000 && Unix.gettimeofday () -. t0 < 2.
+      do
+        incr id;
+        let j = Job.make ~id:!id ~tenant:"t" probe in
+        Atomic.set current j;
+        Executor.run_job ~store j
+      done;
+      Atomic.set stop true;
+      let torn = Domain.join d in
+      Alcotest.(check bool) "the poller saw terminal summaries" true
+        (Atomic.get terminal > 0);
+      Alcotest.(check int) "terminal summaries missing their result" 0 torn)
 
 let test_run_job_explore_artifacts () =
   with_store (fun store ->
       let j = Job.make ~id:7 ~tenant:"t" small_explore in
       Executor.run_job ~store j;
-      Alcotest.(check string) "done" "done" (Job.status_name j.Job.status);
-      let r = Option.get j.Job.result in
+      let p = Job.progress j in
+      Alcotest.(check string) "done" "done" (Job.status_name p.Job.status);
+      let r = Option.get p.Job.result in
       Alcotest.(check bool) "violation reported" true
         (String.length r.Job.note > 0);
       let cex_key =
@@ -319,9 +365,9 @@ let test_run_job_unknown_scheme () =
         Job.make ~id:2 ~tenant:"t" (Job.Figure2 { scheme = "no-such" })
       in
       Executor.run_job ~store j;
-      Alcotest.(check string) "failed" "failed"
-        (Job.status_name j.Job.status);
-      let r = Option.get j.Job.result in
+      let p = Job.progress j in
+      Alcotest.(check string) "failed" "failed" (Job.status_name p.Job.status);
+      let r = Option.get p.Job.result in
       Alcotest.(check bool) "note names the problem" true
         (String.length r.Job.note > 0))
 
@@ -343,7 +389,7 @@ let test_run_job_heartbeats () =
       in
       let j = Job.make ~id:11 ~tenant:"t" kind in
       Executor.run_job ~hb ~store j;
-      let r = Option.get j.Job.result in
+      let r = Option.get (Job.progress j).Job.result in
       let key =
         match List.assoc_opt "heartbeats" r.Job.artifacts with
         | Some k -> k
@@ -410,7 +456,7 @@ let test_executor_drain_then_stop () =
       List.iter
         (fun j ->
           Alcotest.(check string) "drained to Done" "done"
-            (Job.status_name j.Job.status))
+            (Job.status_name (Job.progress j).Job.status))
         jobs;
       Alcotest.(check int) "served counter" 8
         (Atomic.get (Executor.stats ex).Executor.served))
@@ -432,10 +478,11 @@ let test_executor_stop_now_aborts_backlog () =
       Alcotest.(check int) "every job accounted" 10 (served + aborted);
       List.iter
         (fun j ->
-          Alcotest.(check bool) "terminal" true (Job.terminal j.Job.status);
-          if j.Job.status = Job.Aborted then
+          let p = Job.progress j in
+          Alcotest.(check bool) "terminal" true (Job.terminal p.Job.status);
+          if p.Job.status = Job.Aborted then
             Alcotest.(check bool) "abort note" true
-              (match j.Job.result with
+              (match p.Job.result with
               | Some r -> String.length r.Job.note > 0
               | None -> false))
         jobs)
@@ -631,7 +678,7 @@ let test_daemon_client_shutdown () =
       match Daemon.find_job d id with
       | Some j ->
         Alcotest.(check string) "drained before stopping" "done"
-          (Job.status_name j.Job.status)
+          (Job.status_name (Job.progress j).Job.status)
       | None -> Alcotest.fail "job table lost the job")
 
 (* ------------------------------------------------------------------ *)
@@ -693,6 +740,8 @@ let () =
       ( "executor",
         [
           Alcotest.test_case "probe runs" `Quick test_run_job_probe;
+          Alcotest.test_case "summary never torn" `Quick
+            test_summary_never_torn;
           Alcotest.test_case "explore artifacts" `Quick
             test_run_job_explore_artifacts;
           Alcotest.test_case "heartbeat bus and artifact" `Quick
