@@ -4,12 +4,11 @@
     Architecture: an accept thread spawns one handler thread per
     connection (requests on a connection are served in order, so clients
     may pipeline); handlers perform {e admission} into a tenant-fair
-    bounded queue ({!Fair_queue} over {!Bounded_queue} — non-blocking,
-    shed-on-full with the reason on the wire); a {!Executor} domain pool
-    drains the queue; artifacts land in a content-addressed {!Store};
-    cross-job telemetry streams into a [lib/obs] Tracer (one span per
-    job per worker track) and is queryable as a Registry snapshot via
-    the [stats] op.
+    bounded queue ({!Fair_queue} — non-blocking, shed-on-full with the
+    reason on the wire); a {!Executor} domain pool drains the queue;
+    artifacts land in a content-addressed {!Store}; cross-job telemetry
+    streams into a [lib/obs] Tracer (one span per job per worker track)
+    and is queryable as a Registry snapshot via the [stats] op.
 
     The daemon can be embedded (tests, the E17 bench boot it in-process)
     or run standalone behind [era_cli serve]. *)
@@ -17,8 +16,8 @@
 type config = {
   socket_path : string;
   workers : int;  (** executor domains *)
-  global_cap : int;  (** bounded-queue slots across all tenants *)
-  tenant_cap : int;  (** bounded-queue slots per tenant *)
+  global_cap : int;  (** admission slots across all tenants *)
+  tenant_cap : int;  (** admission slots per tenant *)
   store_dir : string;
 }
 

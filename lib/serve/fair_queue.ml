@@ -1,16 +1,23 @@
-(* Per-tenant bounded queues + a round-robin dispatch cursor.
+(* Round-robin fairness across tenants on one mutex.
 
-   The scheduler mutex [m] protects the tenant registry, the cursor, and
-   the dispatchers' condvar; the per-tenant queues synchronize
-   themselves (they are two-lock {!Bounded_queue}s). The hand-off
-   protocol that makes the composition lose no wakeups: a submitter
-   first pushes into the tenant queue, {e then} takes [m] and broadcasts.
-   A dispatcher scans every tenant queue while holding [m]; if the scan
-   finds nothing, the item it missed was pushed before its scan ended —
-   but then the submitter's broadcast is still pending behind [m], so
-   the dispatcher's wait is woken and it rescans. Dispatchers therefore
-   sleep only when every queue really was empty at scan time, and every
-   push is followed by a wakeup that triggers a full rescan. *)
+   [m] guards everything but the global reservation: a table from each
+   tenant {e with queued work} to its FIFO, and a ring holding the same
+   tenants with the next one to serve at the front. A submit that finds
+   its tenant absent adds it to both; [next] serves the front tenant one
+   job and puts it at the back of the ring if it still has work, or
+   drops it from ring and table otherwise. Dispatch is O(1) and an idle
+   tenant costs nothing, however many distinct names arrive on the wire.
+
+   Every push happens under [m] and signals [work]; a dispatcher waits
+   on [work] only after finding the ring empty under [m], so no push can
+   slip between its check and its wait. [close] and [close_now] set
+   their flags under [m] and broadcast.
+
+   The global cap is an atomic reservation taken {e before} [m], so a
+   saturated daemon sheds [`Global_cap] without contending with its
+   dispatchers. [in_queue] counts reservations: a submit between its
+   reservation and its push (or its release on a tenant-cap or closed
+   shed) is counted, which is why {!depth} is a snapshot. *)
 
 type shed = [ `Tenant_cap | `Global_cap | `Closed ]
 
@@ -22,14 +29,13 @@ let shed_reason = function
 type 'a t = {
   tenant_cap : int;
   global_cap : int;
-  in_queue : int Atomic.t;  (* admitted - dispatched: the global bound *)
+  in_queue : int Atomic.t;  (* reserved - dispatched: the global bound *)
   m : Mutex.t;
   work : Condition.t;
-  tbl : (string, 'a Bounded_queue.t) Hashtbl.t;  (* under m *)
-  mutable order : (string * 'a Bounded_queue.t) array;  (* under m *)
-  mutable cursor : int;  (* under m *)
-  closed : bool Atomic.t;
-  now_closed : bool Atomic.t;
+  queues : (string, 'a Queue.t) Hashtbl.t;  (* under m; non-empty queues *)
+  ring : (string * 'a Queue.t) Queue.t;  (* under m; [queues], in turn *)
+  closed : bool Atomic.t;  (* set under m; also read before reserving *)
+  mutable now_closed : bool;  (* under m *)
 }
 
 let create ?(tenant_cap = 64) ?(global_cap = 256) () =
@@ -39,30 +45,11 @@ let create ?(tenant_cap = 64) ?(global_cap = 256) () =
     in_queue = Atomic.make 0;
     m = Mutex.create ();
     work = Condition.create ();
-    tbl = Hashtbl.create 8;
-    order = [||];
-    cursor = 0;
+    queues = Hashtbl.create 8;
+    ring = Queue.create ();
     closed = Atomic.make false;
-    now_closed = Atomic.make false;
+    now_closed = false;
   }
-
-let tenant_queue t name =
-  Mutex.lock t.m;
-  let q =
-    match Hashtbl.find_opt t.tbl name with
-    | Some q -> q
-    | None ->
-      let q = Bounded_queue.create ~capacity:t.tenant_cap () in
-      (* [close] closes every queue in [order] under [m]; a queue born
-         after that must arrive already closed or it could admit a job
-         no dispatcher will ever serve. *)
-      if Atomic.get t.closed then Bounded_queue.close q;
-      Hashtbl.add t.tbl name q;
-      t.order <- Array.append t.order [| (name, q) |];
-      q
-  in
-  Mutex.unlock t.m;
-  q
 
 (* Reserve one unit of the global cap. *)
 let rec reserve t =
@@ -71,77 +58,74 @@ let rec reserve t =
   else if Atomic.compare_and_set t.in_queue s (s + 1) then true
   else reserve t
 
+(* Caller holds [m] and a reservation. *)
+let push t ~tenant x =
+  if Atomic.get t.closed then Error `Closed
+  else
+    match Hashtbl.find_opt t.queues tenant with
+    | Some q when Queue.length q >= t.tenant_cap -> Error `Tenant_cap
+    | Some q ->
+      Queue.add x q;
+      Ok ()
+    | None ->
+      let q = Queue.create () in
+      Queue.add x q;
+      Hashtbl.add t.queues tenant q;
+      Queue.add (tenant, q) t.ring;
+      Ok ()
+
 let submit t ~tenant x =
   if Atomic.get t.closed then Error `Closed
   else if not (reserve t) then Error `Global_cap
   else begin
-    let q = tenant_queue t tenant in
-    if Bounded_queue.try_push q x then begin
-      Mutex.lock t.m;
-      Condition.broadcast t.work;
-      Mutex.unlock t.m;
-      Ok ()
-    end
-    else begin
-      Atomic.decr t.in_queue;
-      (* try_push also fails once the queues are closed; report that as
-         [`Closed], not as a full tenant. *)
-      if Atomic.get t.closed then Error `Closed else Error `Tenant_cap
-    end
+    Mutex.lock t.m;
+    let r = push t ~tenant x in
+    (match r with
+    | Ok () -> Condition.signal t.work
+    | Error _ -> Atomic.decr t.in_queue);
+    Mutex.unlock t.m;
+    r
   end
-
-(* One round-robin sweep over the tenant queues, starting at the cursor;
-   caller holds [m]. *)
-let scan t =
-  let n = Array.length t.order in
-  let rec go i =
-    if i >= n then None
-    else
-      let idx = (t.cursor + i) mod n in
-      let _, q = t.order.(idx) in
-      match Bounded_queue.try_pop q with
-      | Some v ->
-        t.cursor <- (idx + 1) mod n;
-        Atomic.decr t.in_queue;
-        Some v
-      | None -> go (i + 1)
-  in
-  if n = 0 then None else go 0
 
 let next t =
   Mutex.lock t.m;
   let rec loop () =
-    if Atomic.get t.now_closed then None
+    if t.now_closed then None
     else
-      match scan t with
-      | Some _ as r -> r
+      match Queue.take_opt t.ring with
+      | Some ((tenant, q) as turn) ->
+        let x = Queue.take q in
+        if Queue.is_empty q then Hashtbl.remove t.queues tenant
+        else Queue.add turn t.ring;
+        Atomic.decr t.in_queue;
+        Some x
+      | None when Atomic.get t.closed -> None  (* drained *)
       | None ->
-        if Atomic.get t.closed then None  (* drained *)
-        else begin
-          Condition.wait t.work t.m;
-          loop ()
-        end
+        Condition.wait t.work t.m;
+        loop ()
   in
   let r = loop () in
   Mutex.unlock t.m;
   r
 
 let close t =
-  Atomic.set t.closed true;
   Mutex.lock t.m;
-  Array.iter (fun (_, q) -> Bounded_queue.close q) t.order;
+  Atomic.set t.closed true;
   Condition.broadcast t.work;
   Mutex.unlock t.m
 
 let close_now t =
-  Atomic.set t.closed true;
   Mutex.lock t.m;
-  Atomic.set t.now_closed true;
+  Atomic.set t.closed true;
+  t.now_closed <- true;
   let left =
-    Array.to_list t.order
-    |> List.concat_map (fun (_, q) -> Bounded_queue.close_now q)
+    List.concat_map
+      (fun (_, q) -> List.of_seq (Queue.to_seq q))
+      (List.of_seq (Queue.to_seq t.ring))
   in
-  List.iter (fun _ -> Atomic.decr t.in_queue) left;
+  Queue.clear t.ring;
+  Hashtbl.reset t.queues;
+  ignore (Atomic.fetch_and_add t.in_queue (- List.length left) : int);
   Condition.broadcast t.work;
   Mutex.unlock t.m;
   left
@@ -151,8 +135,8 @@ let depth t = max 0 (Atomic.get t.in_queue)
 let tenants t =
   Mutex.lock t.m;
   let r =
-    Array.to_list t.order
-    |> List.map (fun (name, q) -> (name, Bounded_queue.length q))
+    List.of_seq
+      (Seq.map (fun (name, q) -> (name, Queue.length q)) (Queue.to_seq t.ring))
   in
   Mutex.unlock t.m;
   r

@@ -1,11 +1,10 @@
-(* Serving layer (lib/serve): bounded-queue capacity and shutdown
-   liveness (close-while-poppers-blocked, drain-then-stop, close_now
-   accounting — the Work_queue lost-wakeup discipline applied to the
-   admission path), tenant-fair scheduling, the content-addressed store,
-   executor lifecycle, and a daemon/client/load end-to-end pass over a
-   real Unix socket. *)
+(* Serving layer (lib/serve): admission caps and shutdown liveness of the
+   tenant-fair queue (close while dispatchers are blocked, drain-then-
+   stop, close_now accounting — the Work_queue lost-wakeup discipline
+   applied to the admission path), round-robin order, the content-
+   addressed store, executor lifecycle, and a daemon/client/load
+   end-to-end pass over a real Unix socket. *)
 
-module Bq = Era_serve.Bounded_queue
 module Fq = Era_serve.Fair_queue
 module Store = Era_serve.Store
 module Job = Era_serve.Job
@@ -32,109 +31,6 @@ let temp_dir prefix =
   d
 
 (* ------------------------------------------------------------------ *)
-(* Bounded queue                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_bq_fifo () =
-  let q = Bq.create ~capacity:8 () in
-  List.iter (fun i -> Alcotest.(check bool) "push" true (Bq.try_push q i))
-    [ 1; 2; 3 ];
-  Alcotest.(check int) "length" 3 (Bq.length q);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Bq.try_pop q);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Bq.try_pop q);
-  Alcotest.(check bool) "interleaved push" true (Bq.try_push q 4);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Bq.try_pop q);
-  Alcotest.(check (option int)) "pop 4" (Some 4) (Bq.try_pop q);
-  Alcotest.(check (option int)) "empty try_pop" None (Bq.try_pop q)
-
-let test_bq_shed_on_full () =
-  let q = Bq.create ~capacity:3 () in
-  List.iter (fun i -> ignore (Bq.try_push q i)) [ 1; 2; 3 ];
-  Alcotest.(check bool) "4th push shed" false (Bq.try_push q 4);
-  Alcotest.(check bool) "5th push shed" false (Bq.try_push q 5);
-  ignore (Bq.pop q);
-  Alcotest.(check bool) "slot freed, push admitted" true (Bq.try_push q 6);
-  Alcotest.(check bool) "full again" false (Bq.try_push q 7);
-  Alcotest.(check int) "exactly capacity queued" 3 (Bq.length q)
-
-let test_bq_push_after_close () =
-  let q = Bq.create ~capacity:4 () in
-  ignore (Bq.try_push q 1);
-  Bq.close q;
-  Alcotest.(check bool) "closed" true (Bq.closed q);
-  Alcotest.(check bool) "push refused" false (Bq.try_push q 2);
-  Alcotest.(check (option int)) "drain serves backlog" (Some 1) (Bq.pop q);
-  Alcotest.(check (option int)) "then None" None (Bq.pop q)
-
-(* Drain-then-stop with poppers BLOCKED on the empty queue in other
-   domains: close must wake them into None — a conditioned-away
-   broadcast would hang this test rather than fail it. *)
-let test_bq_close_wakes_blocked_poppers () =
-  let q : int Bq.t = Bq.create ~capacity:4 () in
-  let poppers = List.init 3 (fun _ -> Domain.spawn (fun () -> Bq.pop q)) in
-  Unix.sleepf 0.05;
-  Bq.close q;
-  List.iter
-    (fun d ->
-      Alcotest.(check (option int)) "woken into None" None (Domain.join d))
-    poppers;
-  Bq.close q (* idempotent *)
-
-let test_bq_close_now_leftovers () =
-  let q = Bq.create ~capacity:8 () in
-  List.iter (fun i -> ignore (Bq.try_push q i)) [ 1; 2; 3; 4 ];
-  Alcotest.(check (option int)) "one served" (Some 1) (Bq.pop q);
-  Alcotest.(check (list int)) "abandoned items, FIFO" [ 2; 3; 4 ]
-    (Bq.close_now q);
-  Alcotest.(check (list int)) "second close_now empty" [] (Bq.close_now q);
-  Alcotest.(check (option int)) "pop after close_now" None (Bq.pop q)
-
-(* MPMC stress: every pushed item is popped exactly once across domains,
-   and pushes beyond capacity shed rather than block. *)
-let test_bq_stress () =
-  let q = Bq.create ~capacity:64 () in
-  let n_producers = 3 and n_consumers = 3 and per = 2_000 in
-  let accepted = Atomic.make 0 in
-  let producers =
-    List.init n_producers (fun p ->
-        Domain.spawn (fun () ->
-            for i = 0 to per - 1 do
-              let v = (p * per) + i in
-              let rec go tries =
-                if Bq.try_push q v then Atomic.incr accepted
-                else if tries > 0 then begin
-                  Domain.cpu_relax ();
-                  go (tries - 1)
-                end
-                (* full after retries: shed — that's the contract *)
-              in
-              go 1_000
-            done))
-  in
-  let popped = Atomic.make 0 in
-  let consumers =
-    List.init n_consumers (fun _ ->
-        Domain.spawn (fun () ->
-            let rec loop acc =
-              match Bq.pop q with
-              | None -> acc
-              | Some _ ->
-                Atomic.incr popped;
-                loop (acc + 1)
-            in
-            loop 0))
-  in
-  List.iter Domain.join producers;
-  Bq.close q;
-  let per_consumer = List.map Domain.join consumers in
-  Alcotest.(check int) "every accepted item popped exactly once"
-    (Atomic.get accepted) (Atomic.get popped);
-  Alcotest.(check int) "consumer sums agree" (Atomic.get popped)
-    (List.fold_left ( + ) 0 per_consumer);
-  Alcotest.(check bool) "stress actually admitted work" true
-    (Atomic.get accepted > 0)
-
-(* ------------------------------------------------------------------ *)
 (* Fair queue                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -142,6 +38,10 @@ let ok_submit q ~tenant v =
   match Fq.submit q ~tenant v with
   | Ok () -> ()
   | Error s -> Alcotest.failf "unexpected shed: %s" (Fq.shed_reason s)
+
+let shed_name = function
+  | Ok () -> "admitted"
+  | Error s -> Fq.shed_reason s
 
 let test_fq_round_robin () =
   let q = Fq.create ~tenant_cap:8 ~global_cap:64 () in
@@ -194,13 +94,142 @@ let test_fq_close_wakes_blocked_next () =
   | Error `Closed -> ()
   | _ -> Alcotest.fail "submit after close must shed `Closed"
 
+(* Each submit must wake a dispatcher blocked on the empty queue: with
+   two blocked and two submits, both must come back with an item. *)
+let test_fq_submit_wakes_blocked_next () =
+  let q : int Fq.t = Fq.create () in
+  let waiters = List.init 2 (fun _ -> Domain.spawn (fun () -> Fq.next q)) in
+  Unix.sleepf 0.05;
+  ok_submit q ~tenant:"a" 1;
+  ok_submit q ~tenant:"b" 2;
+  let got = List.map Domain.join waiters in
+  Alcotest.(check (list (option int))) "each waiter served one item"
+    [ Some 1; Some 2 ] (List.sort compare got);
+  Alcotest.(check int) "drained" 0 (Fq.depth q)
+
+(* After a turn the ring has rotated: close_now hands the backlog back in
+   service order (b, c, then a), not first-submit order. *)
 let test_fq_close_now () =
   let q = Fq.create () in
-  List.iter (fun v -> ok_submit q ~tenant:"a" v) [ 1; 2 ];
+  List.iter (fun v -> ok_submit q ~tenant:"a" v) [ 1; 2; 3 ];
+  List.iter (fun v -> ok_submit q ~tenant:"b" v) [ 10; 20 ];
+  ok_submit q ~tenant:"c" 100;
+  Alcotest.(check (option int)) "one served" (Some 1) (Fq.next q);
+  Alcotest.(check (list int)) "ring order, FIFO within each tenant"
+    [ 10; 20; 100; 2; 3 ] (Fq.close_now q);
+  Alcotest.(check (list int)) "second close_now empty" [] (Fq.close_now q);
+  Alcotest.(check (option int)) "next after close_now" None (Fq.next q);
+  Alcotest.(check string) "submit after close_now" "closed"
+    (shed_name (Fq.submit q ~tenant:"a" 4));
+  Alcotest.(check int) "nothing left queued" 0 (Fq.depth q);
+  Alcotest.(check (list (pair string int))) "no tenant left" [] (Fq.tenants q)
+
+(* One tenant's items come out FIFO, and a slot freed by [next] admits
+   again at the tenant cap. *)
+let test_fq_fifo_and_slot_reuse () =
+  let q = Fq.create ~tenant_cap:3 ~global_cap:64 () in
+  List.iter (fun v -> ok_submit q ~tenant:"a" v) [ 1; 2; 3 ];
+  Alcotest.(check string) "4th submit shed" "tenant-cap"
+    (shed_name (Fq.submit q ~tenant:"a" 4));
+  Alcotest.(check string) "5th submit shed" "tenant-cap"
+    (shed_name (Fq.submit q ~tenant:"a" 5));
+  Alcotest.(check (option int)) "next 1" (Some 1) (Fq.next q);
+  Alcotest.(check string) "slot freed, submit admitted" "admitted"
+    (shed_name (Fq.submit q ~tenant:"a" 6));
+  Alcotest.(check string) "full again" "tenant-cap"
+    (shed_name (Fq.submit q ~tenant:"a" 7));
+  Alcotest.(check (list (pair string int))) "exactly the cap queued"
+    [ ("a", 3) ] (Fq.tenants q);
+  Alcotest.(check (list (option int))) "FIFO across the refill"
+    [ Some 2; Some 3; Some 6 ]
+    (List.init 3 (fun _ -> Fq.next q));
+  Alcotest.(check int) "drained" 0 (Fq.depth q)
+
+(* A tenant-cap shed takes a global reservation and must hand it back:
+   otherwise each shed would shrink the daemon's capacity for good. *)
+let test_fq_shed_releases_reservation () =
+  let q = Fq.create ~tenant_cap:1 ~global_cap:3 () in
+  ok_submit q ~tenant:"a" 1;
+  for _ = 1 to 10 do
+    Alcotest.(check string) "noisy tenant shed" "tenant-cap"
+      (shed_name (Fq.submit q ~tenant:"a" 2))
+  done;
   ok_submit q ~tenant:"b" 3;
-  let abandoned = List.sort compare (Fq.close_now q) in
-  Alcotest.(check (list int)) "backlog returned" [ 1; 2; 3 ] abandoned;
-  Alcotest.(check (option int)) "next after close_now" None (Fq.next q)
+  ok_submit q ~tenant:"c" 4;
+  Alcotest.(check int) "only admitted items counted" 3 (Fq.depth q);
+  Alcotest.(check string) "then the global cap" "global-cap"
+    (shed_name (Fq.submit q ~tenant:"d" 5))
+
+let test_fq_drain_on_close () =
+  let q = Fq.create () in
+  List.iter (fun v -> ok_submit q ~tenant:"a" v) [ 1; 2 ];
+  ok_submit q ~tenant:"b" 10;
+  Fq.close q;
+  Alcotest.(check string) "submit after close" "closed"
+    (shed_name (Fq.submit q ~tenant:"b" 20));
+  let drained = List.init 3 (fun _ -> Fq.next q) in
+  Alcotest.(check (list (option int))) "backlog drains round-robin"
+    [ Some 1; Some 10; Some 2 ] drained;
+  Alcotest.(check (option int)) "then None" None (Fq.next q);
+  Alcotest.(check (option int)) "and stays None" None (Fq.next q);
+  Fq.close q (* idempotent *)
+
+(* Tenant names arrive from the wire: a tenant whose queue empties must
+   leave the scheduler, or every distinct name is held (and scanned)
+   forever. *)
+let test_fq_idle_tenants_leave () =
+  let q = Fq.create () in
+  let n = 10_000 and served = ref 0 in
+  for i = 1 to n do
+    ok_submit q ~tenant:(string_of_int i) i;
+    if Fq.next q = Some i then incr served
+  done;
+  Alcotest.(check int) "each job served at once" n !served;
+  Alcotest.(check int) "no idle tenant kept" 0 (List.length (Fq.tenants q));
+  Alcotest.(check int) "nothing queued" 0 (Fq.depth q)
+
+(* Multi-domain stress: 3 submitting domains over 4 tenants against 3
+   dispatching domains, caps small enough to shed. Dispatchers start
+   only once the first shed has happened, so both outcomes are always
+   exercised. Every admitted item must come out exactly once. *)
+let test_fq_stress () =
+  let q = Fq.create ~tenant_cap:2 ~global_cap:6 () in
+  let n_producers = 3 and n_consumers = 3 and per = 2_000 in
+  let shed = Atomic.make 0 in
+  let producers =
+    List.init n_producers (fun p ->
+        Domain.spawn (fun () ->
+            let admitted = ref [] in
+            for i = 0 to per - 1 do
+              let v = (p * per) + i in
+              match Fq.submit q ~tenant:(string_of_int (v mod 4)) v with
+              | Ok () -> admitted := v :: !admitted
+              | Error (`Tenant_cap | `Global_cap) -> Atomic.incr shed
+              | Error `Closed -> Alcotest.fail "closed while submitting"
+            done;
+            !admitted))
+  in
+  let consumers =
+    List.init n_consumers (fun _ ->
+        Domain.spawn (fun () ->
+            while Atomic.get shed = 0 do
+              Domain.cpu_relax ()
+            done;
+            let rec loop acc =
+              match Fq.next q with None -> acc | Some v -> loop (v :: acc)
+            in
+            loop []))
+  in
+  let admitted = List.concat_map Domain.join producers in
+  Fq.close q;
+  let served = List.concat_map Domain.join consumers in
+  Alcotest.(check int) "admitted + shed = offered" (n_producers * per)
+    (List.length admitted + Atomic.get shed);
+  Alcotest.(check bool) "stress admitted work" true (admitted <> []);
+  Alcotest.(check bool) "stress shed work" true (Atomic.get shed > 0);
+  Alcotest.(check (list int)) "every admitted item served exactly once"
+    (List.sort compare admitted) (List.sort compare served);
+  Alcotest.(check int) "depth ends at 0" 0 (Fq.depth q)
 
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)
@@ -709,18 +738,6 @@ let test_load_under_capacity () =
 let () =
   Alcotest.run "era_serve"
     [
-      ( "bounded_queue",
-        [
-          Alcotest.test_case "fifo" `Quick test_bq_fifo;
-          Alcotest.test_case "shed on full" `Quick test_bq_shed_on_full;
-          Alcotest.test_case "push after close" `Quick
-            test_bq_push_after_close;
-          Alcotest.test_case "close wakes blocked poppers" `Quick
-            test_bq_close_wakes_blocked_poppers;
-          Alcotest.test_case "close_now returns leftovers" `Quick
-            test_bq_close_now_leftovers;
-          Alcotest.test_case "mpmc stress" `Quick test_bq_stress;
-        ] );
       ( "fair_queue",
         [
           Alcotest.test_case "round robin" `Quick test_fq_round_robin;
@@ -728,7 +745,17 @@ let () =
           Alcotest.test_case "global cap" `Quick test_fq_global_cap;
           Alcotest.test_case "close wakes blocked next" `Quick
             test_fq_close_wakes_blocked_next;
+          Alcotest.test_case "submit wakes blocked next" `Quick
+            test_fq_submit_wakes_blocked_next;
           Alcotest.test_case "close_now" `Quick test_fq_close_now;
+          Alcotest.test_case "fifo and slot reuse" `Quick
+            test_fq_fifo_and_slot_reuse;
+          Alcotest.test_case "shed releases its reservation" `Quick
+            test_fq_shed_releases_reservation;
+          Alcotest.test_case "drain on close" `Quick test_fq_drain_on_close;
+          Alcotest.test_case "idle tenants leave" `Quick
+            test_fq_idle_tenants_leave;
+          Alcotest.test_case "multi-domain stress" `Quick test_fq_stress;
         ] );
       ( "store",
         [
