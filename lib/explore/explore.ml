@@ -35,6 +35,7 @@ type stats = {
   states : int;
   pruned : int;
   sleep_cuts : int;
+  switches : int;
   shrink_runs : int;
   cex_preemptions : int option;
   levels_completed : int;
@@ -243,6 +244,7 @@ type run_record = {
   ru_pruned : bool;  (* cut by the visited-state table *)
   ru_sleep_cut : bool;  (* cut with every runnable thread asleep *)
   ru_quanta : int;
+  ru_switches : int;
 }
 
 (* Per-worker scratch. One per domain; a [Sched.t] and its heap are
@@ -573,6 +575,7 @@ let run_one target ~dpor ~mutate_groups ~max_steps ~fp_check ~cancel ~item sc
     ru_pruned = !pruned;
     ru_sleep_cut = !sleep_cut;
     ru_quanta = !nsteps;
+    ru_switches = Sched.switches sched;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -849,6 +852,7 @@ let explore ?(config = default_config) target =
   let states = Atomic.make 0 in
   let pruned_n = Atomic.make 0 in
   let sleep_cuts = Atomic.make 0 in
+  let switches = Atomic.make 0 in
   let failed = Atomic.make 0 in
   let budget_out = Atomic.make false in
   let cancel = Atomic.make false in
@@ -930,6 +934,7 @@ let explore ?(config = default_config) target =
         | None -> Atomic.incr failed
         | Some r -> (
           ignore (Atomic.fetch_and_add states r.ru_quanta);
+          ignore (Atomic.fetch_and_add switches r.ru_switches);
           if r.ru_pruned then Atomic.incr pruned_n;
           if r.ru_sleep_cut then Atomic.incr sleep_cuts;
           match r.ru_violation with
@@ -996,6 +1001,7 @@ let explore ?(config = default_config) target =
         states = Atomic.get states;
         pruned = Atomic.get pruned_n;
         sleep_cuts = Atomic.get sleep_cuts;
+        switches = Atomic.get switches;
         shrink_runs;
         cex_preemptions = Option.map (fun _ -> !found_level) cex;
         levels_completed = !levels_completed;
@@ -1134,6 +1140,7 @@ let stats_registry s =
   c "explore_states" s.states;
   c "explore_pruned" s.pruned;
   c "explore_sleep_cuts" s.sleep_cuts;
+  c "explore_switches" s.switches;
   c "explore_shrink_runs" s.shrink_runs;
   c "explore_levels_completed" s.levels_completed;
   c "explore_failed_runs" s.failed_runs;

@@ -104,6 +104,10 @@ type stats = {
   sleep_cuts : int;
       (** runs cut with every runnable thread asleep (DPOR mode): the
           remaining schedules commute with already-explored siblings *)
+  switches : int;
+      (** fiber suspensions across all runs ({!Era_sched.Sched.switches}):
+          a quantum whose successor is the same thread continues inline,
+          so this stays far below [states] *)
   shrink_runs : int;  (** extra executions spent delta-debugging *)
   cex_preemptions : int option;
       (** preemption bound at which the violation was found *)

@@ -55,6 +55,10 @@ and t = {
   mutable rr_next : int;
   mutable opid : int;
   mutable current : int;  (* tid being stepped; -1 outside a quantum *)
+  mutable next : int;  (* decided at the yield that switched; -1: none *)
+  mutable next_exn : exn option;  (* raised by that decision *)
+  mutable switches : int;  (* fiber suspensions *)
+  mutable q0 : int;  (* monitor time at quantum start, when hooked *)
   mutable runnable_count : int;  (* #threads live and not stalled *)
   strategy : strategy;
   mutable script : instr list;
@@ -93,6 +97,10 @@ let create ?(max_steps = 20_000_000) ~nthreads strategy heap =
       rr_next = 0;
       opid = 0;
       current = -1;
+      next = -1;
+      next_exn = None;
+      switches = 0;
+      q0 = 0;
       runnable_count = 0;
       strategy;
       script = (match strategy with Script s -> s | _ -> []);
@@ -137,6 +145,7 @@ let thread_outcome t tid =
 
 let steps_of t tid = t.steps.(tid)
 let total_steps t = t.total
+let switches t = t.switches
 
 let live t tid =
   match t.threads.(tid) with
@@ -185,47 +194,6 @@ let unstall t tid =
 
 let is_stalled t tid = t.stalled.(tid)
 
-(* Outside a fiber (test setup, pre-filling a structure before the
-   concurrent part starts) there is no handler for [Yield]: [current] is
-   -1 and the yield is a no-op, so the same data-structure code runs in
-   both settings — without raising and catching [Effect.Unhandled] per
-   access like [perform] would.
-
-   Inside a fiber, if the running thread is the only runnable one (solo
-   phases: single-thread runs, tails after the other threads finish),
-   suspending would bounce through the scheduler only to resume the same
-   fiber. Charge the quantum inline instead: same [steps]/[total]
-   accounting, and under [Random] the same single [Rng.int rng 1] draw
-   the pick would have made — seeded schedules are bit-for-bit
-   unchanged. Scripts are excluded: their per-instruction budgets count
-   actual [step_thread] calls. Controlled schedules are excluded for the
-   same reason: the controller's choice trace must see every quantum. *)
-let yield ctx =
-  let t = ctx.sched in
-  if t.current < 0 then ()
-  else if
-    t.runnable_count = 1
-    && t.current = ctx.tid
-    && (not t.stalled.(ctx.tid))
-    && t.total < t.max_steps
-    && (match t.quantum_hook with None -> true | Some _ -> false)
-    && (match t.strategy with
-       | Script _ | Controlled _ -> false
-       | Round_robin | Random _ -> true)
-  then begin
-    (match t.strategy with
-    | Random rng -> ignore (Rng.int rng 1)
-    | Round_robin -> t.rr_next <- ctx.tid + 1
-    | Script _ | Controlled _ -> ());
-    t.steps.(ctx.tid) <- t.steps.(ctx.tid) + 1;
-    t.total <- t.total + 1
-  end
-  else perform Yield
-
-let label ctx name =
-  yield ctx;
-  Monitor.emit ctx.sched.mon (Event.Label { tid = ctx.tid; name })
-
 let next_opid t =
   t.opid <- t.opid + 1;
   t.opid
@@ -254,37 +222,71 @@ let fiber_handler : (unit, fiber_status) handler =
         | _ -> None);
   }
 
-(* Give [tid] one quantum. Only scripted schedules read back the events
-   of the quantum, so only they pay for resetting the buffer. *)
-let step_thread t tid =
-  (match t.strategy with
-  | Script _ -> Era_sim.Vec.clear t.step_events
-  | Round_robin | Random _ | Controlled _ -> ());
-  let q0 =
-    match t.quantum_hook with None -> 0 | Some _ -> Monitor.time t.mon
-  in
-  t.current <- tid;
-  let status =
-    match t.threads.(tid) with
-    | Fresh body -> match_with body () fiber_handler
-    | Paused k -> continue k ()
-    | Not_spawned_s | Finished_s | Crashed_s _ ->
-      invalid_arg "Sched.step_thread: thread not runnable"
-  in
+let step_events_match t pred = Era_sim.Vec.exists pred t.step_events
+
+let progress_violation t tid =
+  Monitor.emit t.mon
+    (Event.Violation
+       {
+         tid;
+         kind = Event.Progress_failure;
+         detail =
+           Fmt.str "T%d did not finish its solo run within its step budget"
+             tid;
+       })
+
+(* Judge the script instruction at the head — the one that gave the
+   quantum just ended — and pop it once it is complete. *)
+let complete_instr t =
+  match t.script with
+  | [] -> ()
+  | instr :: rest ->
+    let complete =
+      match instr with
+      | Run (tid, _) ->
+        t.instr_budget <- t.instr_budget - 1;
+        t.instr_budget = 0 || not (live t tid)
+      | Run_until (tid, pred) -> step_events_match t pred || not (live t tid)
+      | Run_until_label (tid, name) ->
+        step_events_match t (function
+          | Event.Label l -> l.tid = tid && l.name = name
+          | _ -> false)
+        || not (live t tid)
+      | Finish tid -> not (live t tid)
+      | Finish_bounded (tid, _) ->
+        t.instr_budget <- t.instr_budget - 1;
+        if not (live t tid) then true
+        else if t.instr_budget = 0 then begin
+          progress_violation t tid;
+          true
+        end
+        else false
+      | Finish_all -> false
+    in
+    if complete then begin
+      t.script <- rest;
+      t.instr_budget <- -1
+    end
+
+(* Charge the quantum [tid] just ran, at its yield or when its body
+   returned. A quantum-hook-free run pays one branch for the hook. *)
+let end_quantum t tid =
   t.current <- -1;
   t.steps.(tid) <- t.steps.(tid) + 1;
   t.total <- t.total + 1;
-  (match status with
-  | Suspended k -> t.threads.(tid) <- Paused k
-  | Done ->
-    t.threads.(tid) <- Finished_s;
-    if not t.stalled.(tid) then t.runnable_count <- t.runnable_count - 1
-  | Failed e ->
-    t.threads.(tid) <- Crashed_s e;
-    if not t.stalled.(tid) then t.runnable_count <- t.runnable_count - 1);
-  match t.quantum_hook with
+  (match t.quantum_hook with
   | None -> ()
-  | Some f -> f tid q0 (Monitor.time t.mon)
+  | Some f -> f tid t.q0 (Monitor.time t.mon));
+  match t.strategy with
+  | Script _ -> complete_instr t
+  | Round_robin | Random _ | Controlled _ -> ()
+
+let begin_quantum t tid =
+  Era_sim.Vec.clear t.step_events;
+  (match t.quantum_hook with
+  | None -> ()
+  | Some _ -> t.q0 <- Monitor.time t.mon);
+  t.current <- tid
 
 (* ------------------------------------------------------------------ *)
 (* Strategies                                                          *)
@@ -324,133 +326,148 @@ let pick_random t rng =
   done;
   if !count = 0 then -1 else t.pick_buf.(Rng.int rng !count)
 
-let step_events_match t pred = Era_sim.Vec.exists pred t.step_events
-
 exception Stop of outcome
 
-let progress_violation t tid =
-  Monitor.emit t.mon
-    (Event.Violation
-       {
-         tid;
-         kind = Event.Progress_failure;
-         detail =
-           Fmt.str "T%d did not finish its solo run within its step budget"
-             tid;
-       })
+let finished_all t =
+  let n = Array.length t.threads in
+  let rec go tid = tid >= n || ((not (live t tid)) && go (tid + 1)) in
+  go 0
 
-(* Execute the current script instruction for one quantum; return [true]
-   when the instruction is complete and should be popped. *)
-let script_quantum t instr =
-  match instr with
-  | Run (tid, n) ->
-    if n <= 0 || not (live t tid) then true
-    else begin
-      if t.instr_budget < 0 then t.instr_budget <- n;
-      step_thread t tid;
-      t.instr_budget <- t.instr_budget - 1;
-      t.instr_budget = 0 || not (live t tid)
+(* [finished_all] is only consulted when a pick comes up empty. *)
+let or_stop t tid =
+  if tid >= 0 then tid
+  else raise (Stop (if finished_all t then All_finished else No_runnable))
+
+let set_step_hook t on =
+  if on <> t.step_hook_on then begin
+    if on then Monitor.subscribe t.mon t.step_hook
+    else Monitor.unsubscribe t.mon t.step_hook;
+    t.step_hook_on <- on
+  end
+
+(* The thread the head instruction runs next, popping instructions that
+   are complete before they start. The step-events hook is attached
+   only while an instruction that reads it is at the head; [Run]/
+   [Finish]/[Finish_all] phases keep unobserved events on the fast
+   path. *)
+let rec script_pick t =
+  match t.script with
+  | [] -> raise (Stop Script_done)
+  | instr :: rest ->
+    set_step_hook t
+      (match instr with
+      | Run_until _ | Run_until_label _ -> true
+      | Run _ | Finish _ | Finish_bounded _ | Finish_all -> false);
+    let tid =
+      match instr with
+      | Run (tid, n) -> if n <= 0 then -1 else tid
+      | Run_until (tid, _) | Run_until_label (tid, _) | Finish tid
+      | Finish_bounded (tid, _) ->
+        tid
+      | Finish_all -> pick_round_robin t
+    in
+    if tid < 0 || not (live t tid) then begin
+      t.script <- rest;
+      t.instr_budget <- -1;
+      script_pick t
     end
-  | Run_until (tid, pred) ->
-    if not (live t tid) then true
     else begin
-      step_thread t tid;
-      step_events_match t pred || not (live t tid)
+      (match instr with
+      | Run (_, n) | Finish_bounded (_, n) ->
+        if t.instr_budget < 0 then t.instr_budget <- n
+      | Run_until _ | Run_until_label _ | Finish _ | Finish_all -> ());
+      tid
     end
-  | Run_until_label (tid, name) ->
-    if not (live t tid) then true
-    else begin
-      step_thread t tid;
-      step_events_match t (function
-        | Event.Label l -> l.tid = tid && l.name = name
-        | _ -> false)
-      || not (live t tid)
-    end
-  | Finish tid ->
-    if not (live t tid) then true
-    else begin
-      step_thread t tid;
-      not (live t tid)
-    end
-  | Finish_bounded (tid, budget) ->
-    if not (live t tid) then true
-    else begin
-      if t.instr_budget < 0 then t.instr_budget <- budget;
-      step_thread t tid;
-      t.instr_budget <- t.instr_budget - 1;
-      if not (live t tid) then true
-      else if t.instr_budget = 0 then begin
-        progress_violation t tid;
-        true
-      end
-      else false
-    end
-  | Finish_all -> (
-    match pick_round_robin t with
-    | -1 -> true
+
+(* The one decision point, consulted exactly once per quantum: the tid
+   to step next. Ends the run by raising [Stop]. *)
+let choose t =
+  if t.total >= t.max_steps then raise (Stop Step_limit);
+  match t.strategy with
+  | Round_robin -> or_stop t (pick_round_robin t)
+  | Random rng -> or_stop t (pick_random t rng)
+  | Script _ -> script_pick t
+  | Controlled pick -> (
+    match pick t with
+    | -1 -> raise (Stop Script_done)
+    | tid when tid >= 0 && tid < Array.length t.threads && runnable t tid ->
+      tid
     | tid ->
-      step_thread t tid;
-      false)
+      invalid_arg
+        (Fmt.str "Sched.run: controller picked unrunnable tid %d" tid))
+
+(* A quantum ends at the next yield, and the next one is decided right
+   there. When the choice is the running thread it simply continues;
+   only a switch — another thread, or the end of the run — suspends the
+   fiber, leaving the decision (or what [choose] raised: a [Stop], a
+   controller's exception) in [next]/[next_exn] for [run]. A chooser
+   exception therefore never crashes the simulated thread.
+
+   Outside a fiber (test setup, pre-filling a structure before the
+   concurrent part starts) there is no handler for [Yield]: [current] is
+   -1 and the yield is a no-op, so the same data-structure code runs in
+   both settings — without raising and catching [Effect.Unhandled] per
+   access like [perform] would. *)
+let yield ctx =
+  let t = ctx.sched in
+  let tid = t.current in
+  if tid >= 0 then begin
+    let next =
+      match
+        end_quantum t tid;
+        choose t
+      with
+      | next -> next
+      | exception e ->
+        t.next_exn <- Some e;
+        -1
+    in
+    if next = tid then begin_quantum t tid
+    else begin
+      t.next <- next;
+      t.switches <- t.switches + 1;
+      perform Yield
+    end
+  end
+
+let label ctx name =
+  yield ctx;
+  Monitor.emit ctx.sched.mon (Event.Label { tid = ctx.tid; name })
+
+let exit_thread t tid state =
+  t.threads.(tid) <- state;
+  if not t.stalled.(tid) then t.runnable_count <- t.runnable_count - 1;
+  end_quantum t tid
+
+(* Run [tid] from its resume point until it switches away or returns. *)
+let step_thread t tid =
+  begin_quantum t tid;
+  let status =
+    match t.threads.(tid) with
+    | Fresh body -> match_with body () fiber_handler
+    | Paused k -> continue k ()
+    | Not_spawned_s | Finished_s | Crashed_s _ ->
+      invalid_arg "Sched.step_thread: thread not runnable"
+  in
+  match status with
+  | Suspended k -> (
+    t.threads.(tid) <- Paused k;
+    match t.next_exn with
+    | None -> ()
+    | Some e ->
+      t.next_exn <- None;
+      raise e)
+  | Done -> exit_thread t tid Finished_s
+  | Failed e -> exit_thread t tid (Crashed_s e)
 
 let run t =
-  let finished_all () =
-    let n = Array.length t.threads in
-    let rec go tid = tid >= n || ((not (live t tid)) && go (tid + 1)) in
-    go 0
-  in
-  (* [finished_all] is only consulted when a pick comes up empty — the
-     common per-quantum path is check-limit, pick, step. *)
-  let no_pick () =
-    raise (Stop (if finished_all () then All_finished else No_runnable))
-  in
   try
     while true do
-      if t.total >= t.max_steps then raise (Stop Step_limit);
-      match t.strategy with
-      | Script _ -> (
-        match t.script with
-        | [] -> raise (Stop Script_done)
-        | instr :: rest ->
-          (* Attach the step-events hook only while an instruction that
-             reads them is running; [Run]/[Finish]/[Finish_all] phases
-             keep unobserved events on the fast path. *)
-          (match instr with
-          | Run_until _ | Run_until_label _ ->
-            if not t.step_hook_on then begin
-              Monitor.subscribe t.mon t.step_hook;
-              t.step_hook_on <- true
-            end
-          | Run _ | Finish _ | Finish_bounded _ | Finish_all ->
-            if t.step_hook_on then begin
-              Monitor.unsubscribe t.mon t.step_hook;
-              t.step_hook_on <- false
-            end);
-          if script_quantum t instr then begin
-            t.script <- rest;
-            t.instr_budget <- -1
-          end)
-      | Round_robin -> (
-        match pick_round_robin t with
-        | -1 -> no_pick ()
-        | tid -> step_thread t tid)
-      | Random rng -> (
-        match pick_random t rng with
-        | -1 -> no_pick ()
-        | tid -> step_thread t tid)
-      | Controlled pick -> (
-        match pick t with
-        | -1 -> raise (Stop Script_done)
-        | tid when tid >= 0 && tid < Array.length t.threads && runnable t tid
-          ->
-          step_thread t tid
-        | tid ->
-          invalid_arg
-            (Fmt.str "Sched.run: controller picked unrunnable tid %d" tid))
+      let tid = if t.next >= 0 then t.next else choose t in
+      t.next <- -1;
+      step_thread t tid
     done;
     assert false
   with Stop o ->
-    if t.step_hook_on then begin
-      Monitor.unsubscribe t.mon t.step_hook;
-      t.step_hook_on <- false
-    end;
-    if finished_all () && o = Script_done then All_finished else o
+    set_step_hook t false;
+    if finished_all t && o = Script_done then All_finished else o

@@ -3,9 +3,16 @@
     This realizes the paper's execution model (Section 3): an execution is
     an alternating sequence of configurations and steps, where each step is
     a shared-memory access by one thread. Simulated threads are OCaml
-    fibers that perform a [Yield] effect immediately before every shared
-    access (see {!Mem}); the scheduler resumes exactly one fiber at a time,
-    so every quantum is one atomic step plus thread-local computation.
+    fibers that call {!yield} immediately before every shared access (see
+    {!Mem}); exactly one fiber runs at a time, so every quantum is one
+    atomic step plus thread-local computation.
+
+    Each yield ends a quantum and is the schedule's single decision
+    point: the strategy picks the next thread there, once per quantum.
+    If it picks the running thread, that thread continues inline; the
+    fiber suspends only when the schedule switches to another thread or
+    ends the run. Counts, schedules and traces are the same as if every
+    quantum suspended; {!switches} counts the suspensions.
 
     Schedules come in four flavours:
     - [Round_robin] and [Random _] for fuzzing and throughput-style runs;
@@ -57,9 +64,11 @@ type strategy =
       (** The controller is called before every quantum with the scheduler
           itself and returns the tid to step next (it must be runnable), or
           [-1] to end the run ([Script_done], or [All_finished] when every
-          thread has completed). Like scripts, controlled schedules never
-          take the solo inline-yield shortcut, so the controller observes a
-          choice point for every single quantum. *)
+          thread has completed). It observes a choice point for every
+          single quantum, including those where it picks the thread that
+          just ran (which then continues without a suspension). An
+          exception it raises propagates out of {!run}; the thread that
+          was running stays [Running], it is not [Crashed]. *)
 
 type outcome =
   | All_finished
@@ -87,12 +96,11 @@ val set_quantum_hook : t -> (int -> int -> int -> unit) option -> unit
     called after every quantum with [(tid, time_before, time_after)]
     where the times are the monitor's step clock around the quantum, so
     a trace can render each quantum as a span on the thread's track.
-    While a hook is installed the solo inline-yield shortcut is disabled
-    so that {e every} quantum is reported, even in single-runnable-thread
-    phases; seeded [Random] schedules still make the identical RNG draws
-    ({!yield} draws in both paths). [None] (the default) costs one
-    branch per quantum — the disabled path the perf gate's
-    [trace_off_overhead] row asserts is free. *)
+    It fires once per quantum, whether the next quantum continues the
+    same thread inline or switches, so the number of calls equals
+    {!total_steps}. [None] (the default) costs one branch per quantum —
+    the disabled path the perf gate's [trace_off_overhead] row asserts
+    is free. *)
 
 val run : t -> outcome
 (** Drive the schedule to completion. May raise
@@ -106,6 +114,11 @@ val steps_of : t -> int -> int
 val total_steps : t -> int
 (** Quanta executed so far across all threads — the schedule's current
     step count. *)
+
+val switches : t -> int
+(** Fiber suspensions so far: quanta after which the schedule switched
+    to another thread or ended the run. A quantum whose successor is
+    the same thread continues inline and is not counted. *)
 
 (** {2 Runnable-set introspection}
 
@@ -133,8 +146,9 @@ val runnable_into : t -> int array -> int
     shared across domains. *)
 
 val current_tid : t -> int
-(** The tid being stepped right now; [-1] between quanta (in particular,
-    inside a [Controlled] callback). *)
+(** The tid being stepped right now; [-1] between quanta. In particular
+    it is [-1] inside a [Controlled] callback and a quantum hook, even
+    though both now run at the yield, on the running fiber's stack. *)
 
 val stall : t -> int -> unit
 (** Mark a thread failed/delayed: [Round_robin]/[Random] skip it. Emits a
@@ -145,9 +159,11 @@ val unstall : t -> int -> unit
 val is_stalled : t -> int -> bool
 
 val yield : ctx -> unit
-(** Suspend until rescheduled. Called by {!Mem} before every shared
-    access; thread bodies may also call it to create extra interleaving
-    points. Outside a fiber (setup code) it is a no-op. *)
+(** End the current quantum and decide the next one. Called by {!Mem}
+    before every shared access; thread bodies may also call it to create
+    extra interleaving points. If the strategy picks the calling thread
+    again, [yield] returns at once; otherwise the fiber suspends until
+    it is rescheduled. Outside a fiber (setup code) it is a no-op. *)
 
 val external_ctx : t -> tid:int -> ctx
 (** A context for running data-structure code {e outside} the scheduler —

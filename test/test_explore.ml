@@ -329,6 +329,43 @@ let test_domains1_bit_identical () =
   in
   Alcotest.(check (list int)) "identical shrunk schedule" (steps a) (steps b)
 
+(* A quantum whose successor is the same thread continues inline at its
+   yield; only a switch suspends the fiber. The hp cell's exact count is
+   pinned, and bounded far below its state count, so a scheduler that
+   fell back to suspending every quantum fails here and not only in a
+   timing. *)
+let test_switches_golden () =
+  let a = explore "hp" in
+  let s = a.Ex.res_stats in
+  Alcotest.(check int) "golden switch count" 81 s.Ex.switches;
+  Alcotest.(check bool) "switches below 5% of states" true
+    (s.Ex.switches * 20 < s.Ex.states)
+
+(* The benchmark's cover cell: EBR over Harris's list, 5 ops per thread,
+   target seed 2, exhausted to preemption bound 2 without a violation.
+   The counts are deterministic, so the classic and DPOR searches are
+   pinned exactly, fiber suspensions included: about one per 70
+   quanta. *)
+let test_cover_cell_goldens () =
+  let target =
+    App.explore_target ~ops_per_thread:5 ~seed:2 (scheme "ebr") App.Harris
+  in
+  let config =
+    { Ex.default_config with Ex.max_runs = max_int; shrink = false }
+  in
+  let classic = (Ex.explore ~config target).Ex.res_stats in
+  Alcotest.(check (list int)) "classic runs/states/pruned"
+    [ 10_801; 1_651_640; 350 ]
+    [ classic.Ex.runs; classic.Ex.states; classic.Ex.pruned ];
+  Alcotest.(check int) "classic levels" 3 classic.Ex.levels_completed;
+  Alcotest.(check int) "classic switches" 21_799 classic.Ex.switches;
+  let dpor = (Ex.explore ~config:(with_dpor config) target).Ex.res_stats in
+  Alcotest.(check (list int)) "dpor runs/states/sleep cuts"
+    [ 5_691; 785_035; 2_463 ]
+    [ dpor.Ex.runs; dpor.Ex.states; dpor.Ex.sleep_cuts ];
+  Alcotest.(check int) "dpor levels" 3 dpor.Ex.levels_completed;
+  Alcotest.(check int) "dpor switches" 11_229 dpor.Ex.switches
+
 (* The built-in twin of the QCheck fingerprint property's prune-on leg:
    the EBR Harris cell (no violation, so nothing cuts the search short)
    searched to bound 2 with pruning on. The level barrier keeps a state
@@ -848,6 +885,10 @@ let () =
             test_differential;
           Alcotest.test_case "domains=1 bit-identical to sequential" `Quick
             test_domains1_bit_identical;
+          Alcotest.test_case "golden switch count (hp)" `Quick
+            test_switches_golden;
+          Alcotest.test_case "cover cell goldens (ebr, classic and dpor)"
+            `Quick test_cover_cell_goldens;
           Alcotest.test_case "dpor agrees with classic on built-ins" `Quick
             test_dpor_differential;
           Alcotest.test_case "dpor search is deterministic" `Quick

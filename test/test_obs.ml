@@ -536,6 +536,8 @@ let test_explore_heartbeat_totals () =
   in
   Alcotest.(check int) "sidecar runs" s.Ex.runs (metric "explore_runs");
   Alcotest.(check int) "sidecar states" s.Ex.states (metric "explore_states");
+  Alcotest.(check int) "sidecar switches" s.Ex.switches
+    (metric "explore_switches");
   let domain_runs =
     List.filter_map
       (fun (m : Registry.metric) ->

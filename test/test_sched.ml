@@ -1,5 +1,6 @@
 (* Tests for the effects-based scheduler: fiber quanta, scripts, stalls,
-   solo-run budgets, operation recording. *)
+   solo-run budgets, operation recording, and the per-yield decision
+   point. *)
 
 open Era_sim
 module Sched = Era_sched.Sched
@@ -283,6 +284,169 @@ let test_mem_ops_are_steps () =
     [ "alloc0"; "alloc1"; "write0"; "done1" ]
     (List.rev !log)
 
+(* ------------------------------------------------------------------ *)
+(* The decision point                                                  *)
+(*                                                                     *)
+(* A quantum ends at the thread's next yield, where the strategy picks *)
+(* the next thread once. Picking the running thread continues it       *)
+(* inline; only a switch suspends the fiber.                           *)
+(* ------------------------------------------------------------------ *)
+
+let spin ctx =
+  while true do
+    Sched.yield ctx
+  done
+
+let test_controller_exception_not_a_crash () =
+  let calls = ref 0 in
+  let sched, _ =
+    setup ~nthreads:1
+      (Sched.Controlled
+         (fun _ ->
+           incr calls;
+           if !calls = 3 then raise Exit else 0))
+  in
+  Sched.spawn sched ~tid:0 spin;
+  Alcotest.check_raises "run re-raises the controller's exception" Exit
+    (fun () -> ignore (Sched.run sched));
+  Alcotest.(check bool) "thread still running, not crashed" true
+    (Sched.thread_outcome sched 0 = Sched.Running);
+  Alcotest.(check int) "two quanta ran" 2 (Sched.total_steps sched)
+
+let test_controller_sees_no_current_tid () =
+  let seen = ref [] in
+  let sched, _ =
+    setup
+      (Sched.Controlled
+         (fun s ->
+           seen := Sched.current_tid s :: !seen;
+           match Sched.runnable_tids s with [] -> -1 | tid :: _ -> tid))
+  in
+  let body ctx =
+    for _ = 1 to 4 do
+      Sched.yield ctx
+    done
+  in
+  Sched.spawn sched ~tid:0 body;
+  Sched.spawn sched ~tid:1 body;
+  Alcotest.(check bool) "finished" true (Sched.run sched = Sched.All_finished);
+  Alcotest.(check int) "one call per quantum, plus the final -1"
+    (Sched.total_steps sched + 1) (List.length !seen);
+  Alcotest.(check bool) "current_tid is -1 in every call" true
+    (List.for_all (fun c -> c = -1) !seen)
+
+let test_repick_stops_at_step_limit () =
+  let calls = ref 0 in
+  let mon = Monitor.create ~mode:`Record () in
+  let sched =
+    Sched.create ~max_steps:50 ~nthreads:1
+      (Sched.Controlled
+         (fun _ ->
+           incr calls;
+           0))
+      (Heap.create mon)
+  in
+  Sched.spawn sched ~tid:0 spin;
+  Alcotest.(check bool) "step limit" true (Sched.run sched = Sched.Step_limit);
+  Alcotest.(check int) "exactly max_steps quanta" 50 (Sched.total_steps sched);
+  Alcotest.(check int) "one pick per quantum" 50 !calls;
+  Alcotest.(check int) "one suspension, at the limit" 1 (Sched.switches sched)
+
+(* Count hook calls per tid and check they tile the monitor clock. *)
+let hooked_run ?max_steps ~nthreads strategy bodies =
+  let mon = Monitor.create ~mode:`Record () in
+  let sched = Sched.create ?max_steps ~nthreads strategy (Heap.create mon) in
+  let per_tid = Array.make nthreads 0 in
+  let last = ref 0 and tiled = ref true in
+  Sched.set_quantum_hook sched
+    (Some
+       (fun tid t0 t1 ->
+         per_tid.(tid) <- per_tid.(tid) + 1;
+         if t0 <> !last then tiled := false;
+         last := t1));
+  List.iteri (fun tid body -> Sched.spawn sched ~tid body) bodies;
+  let outcome = Sched.run sched in
+  Alcotest.(check int) "hook calls = total_steps" (Sched.total_steps sched)
+    (Array.fold_left ( + ) 0 per_tid);
+  Array.iteri
+    (fun tid n ->
+      Alcotest.(check int) (Fmt.str "hook calls of T%d" tid)
+        (Sched.steps_of sched tid) n)
+    per_tid;
+  Alcotest.(check bool) "quanta tile the monitor clock" true !tiled;
+  (sched, outcome)
+
+let fences n ctx =
+  for k = 1 to n do
+    Mem.fence ctx ~event:(Event.Note (string_of_int k)) ()
+  done
+
+let test_quantum_hook_every_quantum () =
+  let _, o =
+    hooked_run ~nthreads:2
+      (Sched.Controlled
+         (fun s ->
+           match Sched.runnable_tids s with [] -> -1 | tid :: _ -> tid))
+      [ fences 5; fences 3 ]
+  in
+  Alcotest.(check bool) "controlled finished" true (o = Sched.All_finished);
+  (* T0 finishes early; T1's long tail runs solo. *)
+  let sched, o =
+    hooked_run ~nthreads:2
+      (Sched.Random (Rng.create 3))
+      [ fences 2; fences 20 ]
+  in
+  Alcotest.(check bool) "random finished" true (o = Sched.All_finished);
+  Alcotest.(check bool) "solo tail continues inline" true
+    (Sched.switches sched < 10);
+  let sched, o =
+    hooked_run ~nthreads:1 (Sched.Script [ Sched.Run (0, 7) ]) [ spin ]
+  in
+  Alcotest.(check bool) "script done" true (o = Sched.Script_done);
+  Alcotest.(check int) "Run (0, 7) ran 7 quanta" 7 (Sched.steps_of sched 0)
+
+(* T1 does nothing in its first quantum, so slotting it in after an
+   instruction completes changes no event: the timed event log must be
+   the same whether T0's completing quantum continues inline into the
+   next instruction or suspends for T1. *)
+let timed_script_run script =
+  let mon = Monitor.create ~mode:`Record () in
+  let log = ref [] in
+  Monitor.subscribe mon (fun time ev ->
+      log := (time, Event.to_string ev) :: !log);
+  let sched = Sched.create ~nthreads:2 (Sched.Script script) (Heap.create mon) in
+  Sched.spawn sched ~tid:0 (fences 8);
+  Sched.spawn sched ~tid:1 (fun ctx -> Sched.yield ctx);
+  ignore (Sched.run sched);
+  (List.rev !log, Sched.switches sched)
+
+let test_inline_completion_same_events () =
+  let is_note n = function Event.Note m -> m = n | _ -> false in
+  let check label first =
+    let inline, s_inline =
+      timed_script_run [ first; Sched.Finish 0; Sched.Finish 1 ]
+    in
+    let switched, s_switched =
+      timed_script_run
+        [ first; Sched.Run (1, 1); Sched.Finish 0; Sched.Finish 1 ]
+    in
+    Alcotest.(check (list (pair int string)))
+      (label ^ ": same events at the same times") switched inline;
+    Alcotest.(check bool) (label ^ ": inline path taken") true
+      (s_inline < s_switched);
+    inline
+  in
+  let events = check "Run_until" (Sched.Run_until (0, is_note "3")) in
+  Alcotest.(check int) "all eight notes" 8 (List.length events);
+  (* Quantum 1 reaches the first fence; quanta 2-4 emit notes 1-3 at
+     times 1-3, so the exhausted budget is flagged at time 4, before
+     note 4. *)
+  let events = check "Finish_bounded" (Sched.Finish_bounded (0, 4)) in
+  Alcotest.(check bool) "progress violation right after quantum 4" true
+    (match List.assoc_opt 4 events with
+    | Some ev -> String.starts_with ~prefix:"T0 VIOLATION" ev
+    | None -> false)
+
 let () =
   Alcotest.run "era_sched"
     [
@@ -310,5 +474,18 @@ let () =
             test_run_op_records;
           Alcotest.test_case "external ctx" `Quick test_external_ctx;
           Alcotest.test_case "mem ops are steps" `Quick test_mem_ops_are_steps;
+        ] );
+      ( "decision-point",
+        [
+          Alcotest.test_case "controller exception is not a crash" `Quick
+            test_controller_exception_not_a_crash;
+          Alcotest.test_case "current_tid is -1 in the controller" `Quick
+            test_controller_sees_no_current_tid;
+          Alcotest.test_case "re-picking stops at the step limit" `Quick
+            test_repick_stops_at_step_limit;
+          Alcotest.test_case "quantum hook sees every quantum" `Quick
+            test_quantum_hook_every_quantum;
+          Alcotest.test_case "inline completion emits the same events" `Quick
+            test_inline_completion_same_events;
         ] );
     ]
