@@ -182,13 +182,11 @@ let explore_cmd () =
               let elapsed = Unix.gettimeofday () -. t0 in
               Fmt.pr
                 "[heartbeat] level=%d runs=%d (budget left %d) states=%d \
-                 (%.0f/s) pruned=%d frontier=%d(+%d deferred) fp=%d \
-                 domain-runs=[%a]@."
+                 (%.0f/s) frontier=%d(+%d deferred) domain-runs=[%a]@."
                 p.Explore.pg_level p.Explore.pg_runs
                 p.Explore.pg_budget_left p.Explore.pg_states
                 (float_of_int p.Explore.pg_states /. Float.max elapsed 1e-9)
-                p.Explore.pg_pruned p.Explore.pg_frontier
-                p.Explore.pg_deferred p.Explore.pg_fp_size
+                p.Explore.pg_frontier p.Explore.pg_deferred
                 Fmt.(array ~sep:comma int)
                 p.Explore.pg_per_domain_runs));
     }
@@ -225,10 +223,7 @@ let explore_cmd () =
     | Some p ->
       Registry.set_int
         (Registry.gauge reg "explore_frontier_last")
-        p.Explore.pg_frontier;
-      Registry.set_int
-        (Registry.gauge reg "explore_fp_size_last")
-        p.Explore.pg_fp_size);
+        p.Explore.pg_frontier);
     let hb_file = Fmt.str "heartbeat_%s_%s.json" S.name structure_n in
     Registry.write ~file:hb_file reg;
     Fmt.pr "heartbeat sidecar written to %s@." hb_file);

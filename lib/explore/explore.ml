@@ -1,6 +1,5 @@
 module Event = Era_sim.Event
 module Monitor = Era_sim.Monitor
-module Heap = Era_sim.Heap
 module Vec = Era_sim.Vec
 module Sched = Era_sched.Sched
 module Json = Era_metrics.Json
@@ -47,17 +46,15 @@ type stats = {
 type search_result = {
   res_stats : stats;
   res_cex : counterexample option;
-  res_fps : int list;
+  res_schedules : int list;
 }
 
 type progress = {
   pg_level : int;
   pg_runs : int;
   pg_states : int;
-  pg_pruned : int;
   pg_frontier : int;
   pg_deferred : int;
-  pg_fp_size : int;
   pg_budget_left : int;
   pg_per_domain_runs : int array;
 }
@@ -69,9 +66,7 @@ type config = {
   shrink : bool;
   shrink_budget : int;
   domains : int;
-  prune : bool;
   dpor : bool;
-  record_fps : bool;
   fault_hook : (int -> unit) option;
   progress_every : int;
   on_progress : (progress -> unit) option;
@@ -85,9 +80,7 @@ let default_config =
     shrink = true;
     shrink_budget = 500;
     domains = 1;
-    prune = true;
     dpor = false;
-    record_fps = false;
     fault_hook = None;
     progress_every = 0;
     on_progress = None;
@@ -241,8 +234,8 @@ type run_record = {
   ru_entries : Sleep_set.entry array;  (* DPOR: the run's sleep entries *)
   ru_violation : violation_info option;
   ru_steps : int list;  (* tids in execution order; only on violation *)
-  ru_pruned : bool;  (* cut by the visited-state table *)
   ru_sleep_cut : bool;  (* cut with every runnable thread asleep *)
+  ru_schedule : int;  (* hash of the run's full choice sequence *)
   ru_quanta : int;
   ru_switches : int;
 }
@@ -277,33 +270,15 @@ let scratch () =
    only costs reduction. *)
 let max_sleep_entries = 62
 
-let state_fp sched =
-  let mix h v = (h lxor v) * 0x100000001b3 in
-  let h = ref (Heap.fingerprint (Sched.heap sched)) in
-  h := mix !h (Monitor.fingerprint (Sched.monitor sched));
-  for tid = 0 to Sched.nthreads sched - 1 do
-    h := mix !h (Sched.steps_of sched tid);
-    h := mix !h (if Sched.is_live sched tid then 1 else 0)
-  done;
-  !h
-
-(* DPOR-mode state hash: the incremental XOR heap fingerprint (O(1) per
-   heap mutation, O(threads) to read — the classic [Heap.fingerprint]
-   full walk would dominate once checks happen at every quantum) plus
-   the tid of the quantum that produced the state. The previous-tid
-   component matters here because the run's continuation (the
-   keep-running-the-current-thread default) depends on it: two visits
-   disagreeing on it would explore different default tails, which the
-   covering argument must not conflate. The two hash families are never
-   mixed in one visited table — a search is either classic or DPOR. *)
-let state_fp_x sched ~last =
-  let mix h v = (h lxor v) * 0x100000001b3 in
-  let h = ref (Heap.xfingerprint (Sched.heap sched)) in
-  h := mix !h (Monitor.fingerprint (Sched.monitor sched));
-  h := mix !h (last + 1);
-  for tid = 0 to Sched.nthreads sched - 1 do
-    h := mix !h (Sched.steps_of sched tid);
-    h := mix !h (if Sched.is_live sched tid then 1 else 0)
+(* A run's schedule identity: FNV-style hash over its choice sequence
+   (the chosen tid at every choice point, replayed prefix included).
+   Forced quanta — one runnable thread — are not choices, so two runs
+   hash equal exactly when they made the same decisions, up to hash
+   collisions. *)
+let schedule_hash (b : Ibuf.t) =
+  let h = ref (0x811c9dc5 lxor b.len) in
+  for i = 0 to b.len - 1 do
+    h := (!h lxor b.a.(i)) * 0x100000001b3
   done;
   !h
 
@@ -317,26 +292,13 @@ let state_fp_x sched ~last =
    thread; on its completion, the lowest runnable tid — in DPOR mode,
    the lowest {e awake} runnable tid).
 
-   Classic mode ([dpor = false]) reproduces the historical explorer
-   bit for bit: right after the deviating quantum the state fingerprint
-   is offered to [fp_check] (mask 0) and a previous visit cuts the run.
-
+   Classic mode ([dpor = false]) runs every such schedule to its end.
    DPOR mode layers sleep sets on top, driven by the per-quantum
    footprints observed through the monitor hooks:
    - {e wake-ups}: every executed quantum past the deviation wakes the
      sleep entries whose footprints it conflicts with;
    - {e sleep cuts}: a configuration whose every runnable thread is
      asleep is fully covered by already-explored siblings — end the run.
-   The deviation-point visited check additionally carries the sleep-tid
-   mask (a previous visit covers this one only if it slept a subset of
-   the current sleep set) and uses the incremental heap fingerprint
-   ([Heap.enable_xfingerprint]) — O(threads) to read, not O(heap).
-   The check stays at the deviation point only: the fingerprint is
-   blind to native scheme state (HP slots, era reservations, retired
-   bags live outside the simulated heap), a heuristic classic mode
-   tolerates at one check per run but which, applied per quantum,
-   measurably suppresses real violations (the he cell loses its
-   Figure 2 counterexample).
 
    [mutate_groups] gates reporting the deviating quantum's footprint to
    the item's sibling group: a single-worker search accumulates explored
@@ -347,8 +309,7 @@ let state_fp_x sched ~last =
 
    [cancel] is polled once per quantum so a first-violation latch can
    cut in-flight runs short across domain workers. *)
-let run_one target ~dpor ~mutate_groups ~max_steps ~fp_check ~cancel ~item sc
-    =
+let run_one target ~dpor ~mutate_groups ~max_steps ~cancel ~item sc =
   Ibuf.clear sc.s_info;
   Ibuf.clear sc.s_choices;
   Ibuf.clear sc.s_awake;
@@ -386,9 +347,7 @@ let run_one target ~dpor ~mutate_groups ~max_steps ~fp_check ~cancel ~item sc
   let nsteps = ref 0 in
   let ndec = ref 0 in
   let last = ref (-1) in
-  let pruned = ref false in
   let sleep_cut = ref false in
-  let fp_pending = ref false in  (* classic-mode deferred check *)
   let after_dev = ref (plen = 0) in
   let pending_fp_at = ref (-1) in
   let group_reported = ref false in
@@ -431,26 +390,7 @@ let run_one target ~dpor ~mutate_groups ~max_steps ~fp_check ~cancel ~item sc
         pending_fp_at := -1
       end
     end;
-    if !fp_pending then begin
-      fp_pending := false;
-      (* Deviation-point visited check. Classic: the full-walk hash,
-         mask 0 (set semantics). DPOR: the incremental hash, with the
-         current sleep-tid mask — wakes from the deviation quantum
-         itself have already been applied above, so the mask is the
-         sleep set this subtree will actually be explored under. *)
-      let covered =
-        if dpor then
-          fp_check
-            (state_fp_x sched ~last:!last)
-            (Sleep_set.tid_mask entries !alive)
-        else fp_check (state_fp sched) 0
-      in
-      if covered then pruned := true
-    end;
-    if
-      !pruned || !sleep_cut
-      || !(!viol) <> None
-      || !nsteps >= max_steps || cancel ()
+    if !sleep_cut || !(!viol) <> None || !nsteps >= max_steps || cancel ()
     then -1
     else begin
       begin
@@ -517,10 +457,7 @@ let run_one target ~dpor ~mutate_groups ~max_steps ~fp_check ~cancel ~item sc
               pending_fp_at := !ndec
             end;
             incr ndec;
-            if !ndec = plen then begin
-              after_dev := true;
-              fp_pending := true
-            end;
+            if !ndec = plen then after_dev := true;
             push chosen;
             chosen
           end
@@ -533,12 +470,9 @@ let run_one target ~dpor ~mutate_groups ~max_steps ~fp_check ~cancel ~item sc
     invalid_arg
       (Fmt.str "Explore: at most %d threads supported (target has %d)"
          mask_bits (Sched.nthreads sched));
-  if dpor then begin
-    Heap.enable_xfingerprint (Sched.heap sched);
-    let mon = Sched.monitor sched in
-    Monitor.subscribe_tags mon Sleep_set.tags (fun _ ev ->
-        Sleep_set.record sc.s_builder ev)
-  end;
+  if dpor then
+    Monitor.subscribe_tags (Sched.monitor sched) Sleep_set.tags (fun _ ev ->
+        Sleep_set.record sc.s_builder ev);
   viol := install_watchers target sched;
   ignore (Sched.run sched);
   (* The last quantum's footprint may still be pending (the run ended
@@ -555,8 +489,8 @@ let run_one target ~dpor ~mutate_groups ~max_steps ~fp_check ~cancel ~item sc
   in
   let ndecs = !ndec in
   (* Copy the packed records out only when the run can have children:
-     a run cut at its own deviation point (classic pruning) explored no
-     new choice points, and a violating run ends the search. *)
+     a run that made no choice past its deviation point has none, and a
+     violating run ends the search. *)
   let has_children = v = None && ndecs > plen in
   {
     ru_plen = plen;
@@ -572,8 +506,8 @@ let run_one target ~dpor ~mutate_groups ~max_steps ~fp_check ~cancel ~item sc
     ru_entries = entries;
     ru_violation = v;
     ru_steps = (if v = None then [] else Ibuf.to_list sc.s_steps);
-    ru_pruned = !pruned;
     ru_sleep_cut = !sleep_cut;
+    ru_schedule = schedule_hash sc.s_choices;
     ru_quanta = !nsteps;
     ru_switches = Sched.switches sched;
   }
@@ -823,7 +757,9 @@ let make_reserve ~runs ~max_runs ~budget_out =
    defer preempting children to level [k+1], which starts only once
    level [k] has quiesced. So every schedule within bound [k] is covered
    before any needing [k+1], and a reported violation carries the
-   minimal bound in every mode.
+   minimal bound in every mode: without the barrier a worker could
+   find a violation on a level-[k+1] schedule while a level-[k] witness
+   is still queued.
 
    With one worker the loop is the CHESS-style sequential DFS, bit for
    bit: children are pushed in the order a sequential stack receives
@@ -832,25 +768,21 @@ let make_reserve ~runs ~max_runs ~budget_out =
    ([~mutate_groups:true]). With several workers each keeps a private
    re-execution loop (every run builds a fresh heap/monitor/scheduler,
    so nothing of the simulation is shared); the only cross-domain state
-   is the work stack, the lock-striped visited table, the atomic
-   budget/stat counters, and the first-violation latch, which cancels
-   in-flight runs (polled once per quantum) before shrinking proceeds
-   sequentially on the winning schedule. Which violating schedule wins
-   the latch depends on worker timing, and with pruning on so do the
-   run/state counts: the visited table fills in a different order. *)
+   is the work stack, the atomic budget/stat counters, and the
+   first-violation latch, which cancels in-flight runs (polled once per
+   quantum) before shrinking proceeds sequentially on the winning
+   schedule. Which violating schedule wins the latch depends on worker
+   timing. A classic search that finds nothing runs the same set of
+   schedules at every worker count: a run's children depend only on
+   its own schedule, never on what another run saw first. Each worker
+   records one schedule hash per run in its own buffer; the buffers are
+   merged once the search ends. *)
 let explore ?(config = default_config) target =
   let domains = max 1 config.domains in
   let dpor = config.dpor in
   let mutate_groups = domains = 1 in
-  let visited = Fp_table.create () in
-  let fps = if config.record_fps then Some (Fp_table.create ()) else None in
-  let fp_check fp mask =
-    (match fps with Some t -> Fp_table.add t fp | None -> ());
-    config.prune && Fp_table.check_covered visited fp ~mask
-  in
   let runs = Atomic.make 0 in
   let states = Atomic.make 0 in
-  let pruned_n = Atomic.make 0 in
   let sleep_cuts = Atomic.make 0 in
   let switches = Atomic.make 0 in
   let failed = Atomic.make 0 in
@@ -868,6 +800,7 @@ let explore ?(config = default_config) target =
      false sharing to matter. *)
   let per_domain = Array.init domains (fun _ -> Atomic.make 0) in
   let per_domain_runs () = Array.map Atomic.get per_domain in
+  let schedules = Array.init domains (fun _ -> Ibuf.create ()) in
   let levels_completed = ref 0 in
   let last_report = ref 0 in
   (* [frontier] lists the level's items top of the stack first. *)
@@ -902,10 +835,8 @@ let explore ?(config = default_config) target =
               pg_level = level;
               pg_runs = r;
               pg_states = Atomic.get states;
-              pg_pruned = Atomic.get pruned_n;
               pg_frontier = Work_queue.length q;
               pg_deferred = deferred_n;
-              pg_fp_size = Fp_table.size visited;
               pg_budget_left = max 0 (config.max_runs - r);
               pg_per_domain_runs = counts;
             }
@@ -915,7 +846,7 @@ let explore ?(config = default_config) target =
     let run_item sc slot item =
       let go () =
         run_one target ~dpor ~mutate_groups ~max_steps:config.max_steps
-          ~fp_check ~cancel:cancelled ~item sc
+          ~cancel:cancelled ~item sc
       in
       match config.fault_hook with
       | None -> Some (go ())
@@ -935,7 +866,7 @@ let explore ?(config = default_config) target =
         | Some r -> (
           ignore (Atomic.fetch_and_add states r.ru_quanta);
           ignore (Atomic.fetch_and_add switches r.ru_switches);
-          if r.ru_pruned then Atomic.incr pruned_n;
+          Ibuf.push schedules.(wid) r.ru_schedule;
           if r.ru_sleep_cut then Atomic.incr sleep_cuts;
           match r.ru_violation with
           | Some v ->
@@ -999,7 +930,7 @@ let explore ?(config = default_config) target =
       {
         runs = Atomic.get runs;
         states = Atomic.get states;
-        pruned = Atomic.get pruned_n;
+        pruned = 0;
         sleep_cuts = Atomic.get sleep_cuts;
         switches = Atomic.get switches;
         shrink_runs;
@@ -1010,10 +941,9 @@ let explore ?(config = default_config) target =
         per_domain_runs = Array.to_list (per_domain_runs ());
       };
     res_cex = cex;
-    res_fps =
-      (match fps with
-      | None -> []
-      | Some t -> List.sort compare (Fp_table.elements t));
+    res_schedules =
+      List.sort compare
+        (List.concat_map Ibuf.to_list (Array.to_list schedules));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1138,7 +1068,6 @@ let stats_registry s =
   let c name v = R.set_counter (R.counter reg name) v in
   c "explore_runs" s.runs;
   c "explore_states" s.states;
-  c "explore_pruned" s.pruned;
   c "explore_sleep_cuts" s.sleep_cuts;
   c "explore_switches" s.switches;
   c "explore_shrink_runs" s.shrink_runs;
@@ -1174,8 +1103,8 @@ let pp_counterexample fmt c =
 
 let pp_stats fmt s =
   Fmt.pf fmt
-    "%d runs, %d states, %d pruned, %d shrink runs, %d level(s) completed%a%a%a%a"
-    s.runs s.states s.pruned s.shrink_runs s.levels_completed
+    "%d runs, %d states, %d shrink runs, %d level(s) completed%a%a%a%a"
+    s.runs s.states s.shrink_runs s.levels_completed
     (fun fmt n -> if n > 0 then Fmt.pf fmt ", %d sleep cut(s)" n)
     s.sleep_cuts
     (Fmt.option (fun fmt p -> Fmt.pf fmt ", found at preemption bound %d" p))

@@ -16,13 +16,8 @@
     (5.1/5.2) as well as the preempt-and-churn safety executions of
     Figure 2.
 
-    Reduction devices keep the space tractable:
-    - {e state pruning}: after a run's first deviating quantum the global
-      state — heap content, SMR bookkeeping, per-thread positions — is
-      fingerprinted; runs reaching an already-visited state are cut short.
-      Pruning is a coverage heuristic (hash collisions and budget
-      differences can drop schedules) but never affects the soundness of
-      a reported violation, which is a concrete witnessed execution.
+    Two reduction devices keep the space tractable; neither drops a
+    schedule on a guess about state equality:
     - {e preemption bounding}: empirically (CHESS), real concurrency bugs
       need very few preemptions; both paper constructions need one.
     - {e sleep sets} ([config.dpor]): dynamic partial-order reduction.
@@ -34,11 +29,15 @@
       footprint it was scheduled under. Scheduling a sleeping thread
       commutes with the explored sibling, so those schedules are covered
       by construction: configurations whose every runnable thread sleeps
-      are cut, and the visited table stores per-state sleep masks so a
-      state is only "visited" for the sleep sets it was covered under.
-      DPOR-mode pruning also checks {e every} quantum past the deviation
-      (not just the first), made affordable by an incremental
-      XOR heap fingerprint that is O(threads), not O(heap), to read.
+      are cut.
+
+    There is no visited-state table. Whether an access is valid depends
+    on scheme state the simulated heap does not hold (hazard slots, era
+    reservations, retired bags), so a state hash over heap and monitor
+    counters would merge configurations that differ in exactly what
+    decides a use-after-reclaim — pruning on it once hid the [he] cell's
+    Figure 2 violation. In classic mode every schedule within the bounds
+    runs.
 
     A found violation is shrunk by delta-debugging its quantum-by-quantum
     schedule to a minimal still-violating sequence, compressed into a
@@ -52,9 +51,8 @@
     once the level has quiesced. With one worker this is the sequential
     depth-first search; with more, the frontier is shared across OCaml 5
     domains — every run is a stateless re-execution of a choice-point
-    prefix — through a lock-striped visited-fingerprint table and a
-    first-violation latch that cancels in-flight workers before
-    shrinking proceeds sequentially on the winning schedule (see
+    prefix — with a first-violation latch that cancels in-flight workers
+    before shrinking proceeds sequentially on the winning schedule (see
     {!explore} for the exact determinism contract). *)
 
 type target = {
@@ -100,7 +98,10 @@ type counterexample = {
 type stats = {
   runs : int;  (** executions performed during the search *)
   states : int;  (** quanta executed across all runs ("states visited") *)
-  pruned : int;  (** runs cut short by the visited-fingerprint set *)
+  pruned : int;
+      (** always 0: the explorer keeps no visited-state table and cuts no
+          run on state equality. Kept so existing readers of the stats
+          record still compile. *)
   sleep_cuts : int;
       (** runs cut with every runnable thread asleep (DPOR mode): the
           remaining schedules commute with already-explored siblings *)
@@ -126,20 +127,19 @@ type stats = {
 type search_result = {
   res_stats : stats;
   res_cex : counterexample option;
-  res_fps : int list;
-      (** sorted distinct deviation-point fingerprints, recorded only
-          when [config.record_fps] — the coverage witness the
-          differential tests compare across domain counts *)
+  res_schedules : int list;
+      (** one hash per executed run of its full choice sequence, sorted
+          (a multiset: duplicates are kept) — the coverage witness the
+          differential tests compare across domain counts. Runs that
+          raised (see [failed_runs]) contribute nothing. *)
 }
 
 type progress = {
   pg_level : int;  (** preemption level being explored *)
   pg_runs : int;
   pg_states : int;
-  pg_pruned : int;
   pg_frontier : int;  (** unexplored prefixes left at this level *)
   pg_deferred : int;  (** prefixes already seeded for the next level *)
-  pg_fp_size : int;  (** visited-fingerprint table occupancy *)
   pg_budget_left : int;  (** runs remaining in [max_runs] *)
   pg_per_domain_runs : int array;  (** runs per worker domain so far *)
 }
@@ -159,9 +159,6 @@ type config = {
           0 runs on the calling domain, so 1 (the default) is the exact
           sequential DFS; [> 1] adds [domains - 1] [Domain.spawn] workers
           (see {!explore}) *)
-  prune : bool;
-      (** visited-fingerprint pruning; disable only for coverage
-          comparisons — the full tree is explored without it *)
   dpor : bool;
       (** sleep-set dynamic partial-order reduction (see the module
           header). Changes which runs are executed — [domains = 1]
@@ -173,7 +170,6 @@ type config = {
           higher level than classic mode finds it (the differential
           tests check every built-in cell finds its violation at the
           same level). *)
-  record_fps : bool;  (** collect {!field:search_result.res_fps} *)
   fault_hook : (int -> unit) option;
       (** test-only: called with each run's index before it executes; an
           exception it raises is charged to [failed_runs] and the search
@@ -191,8 +187,8 @@ type config = {
 
 val default_config : config
 (** 2 preemptions, 20_000 runs, 50_000 steps/run, shrinking on with a
-    budget of 500 runs; 1 domain, pruning on, DPOR off, no fingerprint
-    recording, no fault hook. *)
+    budget of 500 runs; 1 domain, DPOR off, no fault hook, no
+    telemetry. *)
 
 val explore : ?config:config -> target -> search_result
 (** Search the target's schedule space. Stops at the first violation
@@ -207,11 +203,16 @@ val explore : ?config:config -> target -> search_result
     - [domains = 1], [dpor = true]: still fully deterministic, but the
       sleep-set cuts change which runs execute, so stats differ from
       classic mode (fewer runs/states, same violations found).
-    - [domains > 1]: level barriers preserve the iterative-bounding
-      order, so a found violation still carries the minimal preemption
-      bound; {e which} violating schedule is reported (and, with
-      pruning, the run/state counts) may vary across domain counts and
-      timings.
+    - [domains > 1], [dpor = false]: a search that finds no violation
+      (and does not exhaust [max_runs]) runs exactly the sequential
+      multiset of schedules — equal [res_schedules], [runs] and
+      [states]. Level barriers preserve the iterative-bounding order,
+      so a found violation still carries the minimal preemption bound;
+      {e which} violating schedule is reported, and how many runs the
+      latch cut short, may vary across domain counts and timings.
+    - [domains > 1], [dpor = true]: sibling groups stay frozen at the
+      parent's edge, so sleep sets are smaller and counts may exceed
+      the sequential DPOR search's.
     In every mode a reported violation is a concretely witnessed
     execution that replays sequentially to the same violation kind, and
     a no-violation verdict covers the same bounded schedule space. *)

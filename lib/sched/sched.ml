@@ -153,7 +153,6 @@ let live t tid =
   | Not_spawned_s | Finished_s | Crashed_s _ -> false
 
 let runnable t tid = live t tid && not t.stalled.(tid)
-let is_live = live
 let is_runnable = runnable
 let runnable_count t = t.runnable_count
 let current_tid t = t.current
@@ -346,7 +345,9 @@ let set_step_hook t on =
   end
 
 (* The thread the head instruction runs next, popping instructions that
-   are complete before they start. The step-events hook is attached
+   are complete before they start. A [Finish_bounded] whose budget is
+   already spent (<= 0) on a live thread is a progress failure before
+   any quantum runs. The step-events hook is attached
    only while an instruction that reads it is at the head; [Run]/
    [Finish]/[Finish_all] phases keep unobserved events on the fast
    path. *)
@@ -361,6 +362,9 @@ let rec script_pick t =
     let tid =
       match instr with
       | Run (tid, n) -> if n <= 0 then -1 else tid
+      | Finish_bounded (tid, n) when n <= 0 ->
+        if live t tid then progress_violation t tid;
+        -1
       | Run_until (tid, _) | Run_until_label (tid, _) | Finish tid
       | Finish_bounded (tid, _) ->
         tid

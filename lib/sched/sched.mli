@@ -53,7 +53,10 @@ type instr =
   | Finish_bounded of int * int
       (** [Finish_bounded (tid, budget)]: like [Finish] but emits a
           [Progress_failure] violation if the budget is exhausted — the
-          executable form of a solo-run lock-freedom check. *)
+          executable form of a solo-run lock-freedom check. A budget
+          [<= 0] on a live thread is exhausted at once: the violation is
+          emitted and the instruction popped without running a quantum;
+          on a finished thread the instruction is skipped silently. *)
   | Finish_all  (** round-robin over all runnable threads until done. *)
 
 type strategy =
@@ -125,9 +128,6 @@ val switches : t -> int
     Read-only accessors used by exploration tooling (and tests) to
     enumerate the scheduling choices available at the current
     configuration. None of them affect the schedule. *)
-
-val is_live : t -> int -> bool
-(** Spawned and neither finished nor crashed (it may be stalled). *)
 
 val is_runnable : t -> int -> bool
 (** Live and not stalled: a legal pick for the next quantum. *)

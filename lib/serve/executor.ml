@@ -111,11 +111,9 @@ let progress_registry (p : Ex.progress) =
   let reg = Registry.create () in
   Registry.set_counter (Registry.counter reg "explore_runs") p.Ex.pg_runs;
   Registry.set_counter (Registry.counter reg "explore_states") p.Ex.pg_states;
-  Registry.set_counter (Registry.counter reg "explore_pruned") p.Ex.pg_pruned;
   Registry.set_int (Registry.gauge reg "explore_level") p.Ex.pg_level;
   Registry.set_int (Registry.gauge reg "explore_frontier") p.Ex.pg_frontier;
   Registry.set_int (Registry.gauge reg "explore_deferred") p.Ex.pg_deferred;
-  Registry.set_int (Registry.gauge reg "explore_fp_size") p.Ex.pg_fp_size;
   Registry.set_int
     (Registry.gauge reg "explore_budget_left")
     p.Ex.pg_budget_left;

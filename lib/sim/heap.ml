@@ -48,12 +48,6 @@ type t = {
   mutable system_cells : int;
   mutable in_use : int;  (* cells whose state is not Unallocated *)
   mutable free_count : int;  (* length of [free] *)
-  (* Incremental fingerprint (opt-in): XOR of per-cell hashes, updated at
-     every cell mutation so the schedule explorer can fingerprint the
-     heap in O(1) at every branch point instead of walking every cell.
-     Off by default — when off, each mutation site pays one branch. *)
-  mutable xfp_on : bool;
-  mutable xfp : int;
 }
 
 let default_config =
@@ -71,8 +65,6 @@ let create ?(config = default_config) mon =
     system_cells = 0;
     in_use = 0;
     free_count = 0;
-    xfp_on = false;
-    xfp = 0;
   }
 
 let monitor t = t.mon
@@ -113,65 +105,6 @@ let validity t w =
 let is_valid t w = validity t w = Valid
 
 (* ------------------------------------------------------------------ *)
-(* Fingerprinting primitives                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* FNV-1a-style mixing. The full-walk [fingerprint] ignores free/unmapped
-   cell identity beyond its count, so two executions that reach the same
-   logical configuration through different transient allocations still
-   collide only when the observable state matches. *)
-let fp_mix h v = (h lxor v) * 0x100000001b3
-
-let fp_word h w =
-  match w with
-  | Word.Null -> fp_mix h 1
-  | Word.Int v -> fp_mix (fp_mix h 2) v
-  | Word.Ptr p ->
-    let tag = 3 lor (if p.marked then 4 else 0) lor (if p.stale then 8 else 0) in
-    fp_mix (fp_mix (fp_mix h tag) p.addr) p.node
-
-let fp_state h = function
-  | Lifecycle.Unallocated -> fp_mix h 11
-  | Lifecycle.Local tid -> fp_mix (fp_mix h 13) tid
-  | Lifecycle.Shared -> fp_mix h 17
-  | Lifecycle.Retired -> fp_mix h 19
-
-(* Per-cell hash for the incremental XOR fingerprint: unoccupied cells
-   contribute 0 so occupancy transitions fall out of the same
-   before/after bracket as field updates. Covers exactly the per-cell
-   data the full-walk [fingerprint] covers ([entry] is ignored by both);
-   the combining differs (XOR of per-cell FNV chains vs one sequential
-   chain), so the two fingerprints are distinct hash functions — callers
-   must not mix them in one visited set. *)
-let cell_hash c =
-  if Lifecycle.equal c.state Lifecycle.Unallocated && not c.in_system then 0
-  else begin
-    let h = fp_mix (fp_mix 0x811c9dc5 c.addr) c.node in
-    let h = fp_state h c.state in
-    let h = fp_mix h c.key in
-    let h = if c.in_system then fp_mix h 23 else h in
-    let h = Array.fold_left fp_word h c.ptrs in
-    Array.fold_left fp_word h c.aux
-  end
-
-(* Mutation sites bracket cell updates with [xfp_pre]/[xfp_post]; when
-   the incremental fingerprint is off the bracket costs one branch and
-   no allocation. *)
-let xfp_pre t c = if t.xfp_on then cell_hash c else 0
-
-let xfp_post t c pre =
-  if t.xfp_on then t.xfp <- t.xfp lxor pre lxor cell_hash c
-
-let enable_xfingerprint t =
-  t.xfp <- Vec.fold_left (fun h c -> h lxor cell_hash c) 0 t.cells;
-  t.xfp_on <- true
-
-let xfingerprint t =
-  if not t.xfp_on then
-    invalid_arg "Heap.xfingerprint: enable_xfingerprint not called";
-  fp_mix (fp_mix 0x1cbf29ce4 t.free_count) t.xfp
-
-(* ------------------------------------------------------------------ *)
 (* Allocation / life cycle                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -207,13 +140,11 @@ let alloc_with_state t ~tid ~key state =
   t.next_node <- node + 1;
   t.allocs <- t.allocs + 1;
   t.in_use <- t.in_use + 1;
-  let pre = xfp_pre t c in
   c.node <- node;
   c.state <- state;
   c.key <- key;
   Array.fill c.ptrs 0 (Array.length c.ptrs) Word.Null;
   Array.fill c.aux 0 (Array.length c.aux) Word.Null;
-  xfp_post t c pre;
   Monitor.emit t.mon (Event.Alloc { tid; addr = c.addr; node; key });
   (match state with
   | Lifecycle.Shared ->
@@ -233,9 +164,7 @@ let is_entry t ~addr = (cell_of_addr t addr).entry
 let transition t ~tid c to_ =
   match Lifecycle.check_transition ~from:c.state ~to_ with
   | Ok () ->
-    let pre = xfp_pre t c in
-    c.state <- to_;
-    xfp_post t c pre
+    c.state <- to_
   | Error msg -> violate t ~tid Event.Lifecycle_error msg
 
 let retire t ~tid w =
@@ -275,9 +204,7 @@ let reclaim t ~tid w =
         | Return_every k -> k > 0 && t.reclaims mod k = 0
       in
       if to_system then begin
-        let pre = xfp_pre t c in
         c.in_system <- true;
-        xfp_post t c pre;
         t.system_cells <- t.system_cells + 1
       end
       else begin
@@ -383,9 +310,7 @@ let write_checked t ~tid ~via ~field value =
     violate t ~tid Event.Unsafe_write
       (Fmt.str "write through invalid pointer %a (.f%d)" Word.pp via field)
   else begin
-    let pre = xfp_pre t c in
     c.ptrs.(field) <- value;
-    xfp_post t c pre;
     promote_if_shared t ~tid c value
   end
 
@@ -419,9 +344,7 @@ let cas_gen ~compare_identity t ~tid ~via ~field ~expected ~desired =
     else false
   end
   else if success then begin
-    let pre = xfp_pre t c in
     c.ptrs.(field) <- desired;
-    xfp_post t c pre;
     promote_if_shared t ~tid c desired;
     true
   end
@@ -457,11 +380,7 @@ let aux_set t ~tid ~via ~field value =
   if unsafe then
     violate t ~tid Event.Unsafe_write
       (Fmt.str "scheme-field write through invalid pointer %a" Word.pp via)
-  else begin
-    let pre = xfp_pre t c in
-    c.aux.(field) <- value;
-    xfp_post t c pre
-  end
+  else c.aux.(field) <- value
 
 let aux_cas t ~tid ~via ~field ~expected ~desired =
   let c, p, v = deref_cell t ~tid via in
@@ -470,34 +389,12 @@ let aux_cas t ~tid ~via ~field ~expected ~desired =
   let current = c.aux.(field) in
   let success = (not unsafe) && Word.same_bits current expected in
   emit_access t ~tid ~p ~field ~kind:(Event.Cas success) ~unsafe;
-  if success then begin
-    let pre = xfp_pre t c in
-    c.aux.(field) <- desired;
-    xfp_post t c pre
-  end;
+  if success then c.aux.(field) <- desired;
   success
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                      *)
 (* ------------------------------------------------------------------ *)
-
-(* Full walk over the occupied cells; see the fingerprinting primitives
-   above for the mixing and what the hash covers. *)
-let fingerprint t =
-  Vec.fold_left
-    (fun h c ->
-      if Lifecycle.equal c.state Lifecycle.Unallocated && not c.in_system then
-        h
-      else begin
-        let h = fp_mix (fp_mix h c.addr) c.node in
-        let h = fp_state h c.state in
-        let h = fp_mix h c.key in
-        let h = if c.in_system then fp_mix h 23 else h in
-        let h = Array.fold_left fp_word h c.ptrs in
-        Array.fold_left fp_word h c.aux
-      end)
-    (fp_mix 0x1cbf29ce4 t.free_count)
-    t.cells
 
 let cell_state t ~addr = (cell_of_addr t addr).state
 let node_at t ~addr = (cell_of_addr t addr).node

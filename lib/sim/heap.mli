@@ -146,29 +146,6 @@ val aux_cas :
 val is_entry : t -> addr:int -> bool
 (** Was this cell allocated as a sentinel/entry point? *)
 
-val fingerprint : t -> int
-(** Hash of the occupied heap content: per occupied cell the logical node
-    identity, life-cycle state, key, pointer and aux fields, and space;
-    plus the free-list size. Used by the schedule explorer to recognise
-    (and not re-explore) equivalent configurations reached by different
-    interleavings. Equal states hash equal; collisions are possible but
-    only cost exploration coverage, never soundness of a reported
-    violation. *)
-
-val enable_xfingerprint : t -> unit
-(** Switch on the incremental fingerprint: from this call on the heap
-    maintains an XOR-of-per-cell-hashes digest at every mutation, making
-    {!xfingerprint} O(1). Costs two per-cell hashes per mutation while
-    enabled and a single branch per mutation for heaps that never enable
-    it. Used by the schedule explorer's DPOR mode, which fingerprints
-    the state at every branch point. *)
-
-val xfingerprint : t -> int
-(** O(1) digest of the same per-cell content as {!fingerprint} but with
-    XOR combining — a {e different} hash function, so values from the
-    two must never share a visited set. Raises [Invalid_argument] unless
-    {!enable_xfingerprint} was called. *)
-
 val cell_state : t -> addr:int -> Lifecycle.t
 val node_at : t -> addr:int -> int
 val key_of_cell : t -> addr:int -> int

@@ -133,13 +133,6 @@ let emit_key_read t ~tid ~addr ~node ~unsafe =
     emit t (Event.Key_read { tid; addr; node; unsafe })
   else t.time <- t.time + 1
 
-let fingerprint t =
-  let mix h v = (h lxor v) * 0x100000001b3 in
-  mix
-    (mix (mix (mix (mix 0x811c9dc5 t.active) t.retired) t.max_active)
-       t.max_retired)
-    (Vec.length t.viols)
-
 let time t = t.time
 let active t = t.active
 let retired t = t.retired

@@ -80,12 +80,6 @@ val emit_key_read :
 val time : t -> int
 (** Number of events emitted so far — the simulated step clock. *)
 
-val fingerprint : t -> int
-(** Hash of the monitor's counter state (active/retired counts, their
-    maxima, violation count) — deliberately {e excluding} the step clock,
-    so two equivalent configurations reached in different numbers of
-    steps can still be recognised as equal by the schedule explorer. *)
-
 val active : t -> int
 val retired : t -> int
 val max_active : t -> int

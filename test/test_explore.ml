@@ -346,19 +346,32 @@ let test_switches_golden () =
    The counts are deterministic, so the classic and DPOR searches are
    pinned exactly, fiber suspensions included: about one per 70
    quanta. *)
+let cover_target =
+  lazy (App.explore_target ~ops_per_thread:5 ~seed:2 (scheme "ebr") App.Harris)
+
+let cover_config =
+  { Ex.default_config with Ex.max_runs = max_int; shrink = false }
+
+let cover_classic =
+  lazy (Ex.explore ~config:cover_config (Lazy.force cover_target))
+
+let rec has_adjacent_dup = function
+  | a :: (b :: _ as tl) -> a = b || has_adjacent_dup tl
+  | _ -> false
+
 let test_cover_cell_goldens () =
-  let target =
-    App.explore_target ~ops_per_thread:5 ~seed:2 (scheme "ebr") App.Harris
-  in
-  let config =
-    { Ex.default_config with Ex.max_runs = max_int; shrink = false }
-  in
-  let classic = (Ex.explore ~config target).Ex.res_stats in
+  let target = Lazy.force cover_target and config = cover_config in
+  let seq = Lazy.force cover_classic in
+  let classic = seq.Ex.res_stats in
   Alcotest.(check (list int)) "classic runs/states/pruned"
-    [ 10_801; 1_651_640; 350 ]
+    [ 10_868; 1_704_354; 0 ]
     [ classic.Ex.runs; classic.Ex.states; classic.Ex.pruned ];
   Alcotest.(check int) "classic levels" 3 classic.Ex.levels_completed;
-  Alcotest.(check int) "classic switches" 21_799 classic.Ex.switches;
+  Alcotest.(check int) "classic switches" 21_583 classic.Ex.switches;
+  Alcotest.(check int) "one schedule hash per run" classic.Ex.runs
+    (List.length seq.Ex.res_schedules);
+  Alcotest.(check bool) "no schedule runs twice" false
+    (has_adjacent_dup seq.Ex.res_schedules);
   let dpor = (Ex.explore ~config:(with_dpor config) target).Ex.res_stats in
   Alcotest.(check (list int)) "dpor runs/states/sleep cuts"
     [ 5_691; 785_035; 2_463 ]
@@ -366,14 +379,24 @@ let test_cover_cell_goldens () =
   Alcotest.(check int) "dpor levels" 3 dpor.Ex.levels_completed;
   Alcotest.(check int) "dpor switches" 11_229 dpor.Ex.switches
 
-(* The built-in twin of the QCheck fingerprint property's prune-on leg:
-   the EBR Harris cell (no violation, so nothing cuts the search short)
-   searched to bound 2 with pruning on. The level barrier keeps a state
-   first reached at a higher preemption level from pruning a lower-level
-   visit, so every worker count must reach exactly the sequential set of
-   deviation-point states and exhaust every level; a barrier-free engine
-   reaches only part of the set while still reporting the levels done. *)
-let test_prune_parallel_fp_set () =
+(* The full cover cell on two workers: no visited table means nothing
+   about which worker ran what first can change the covered set, so the
+   counts are the sequential goldens exactly, schedule for schedule. *)
+let test_cover_cell_2d () =
+  let seq = Lazy.force cover_classic in
+  let par =
+    Ex.explore ~config:(with_domains 2 cover_config) (Lazy.force cover_target)
+  in
+  Alcotest.(check (list int)) "2-domain runs/states" [ 10_868; 1_704_354 ]
+    [ par.Ex.res_stats.Ex.runs; par.Ex.res_stats.Ex.states ];
+  Alcotest.(check bool) "2-domain runs the sequential schedules" true
+    (par.Ex.res_schedules = seq.Ex.res_schedules)
+
+(* The built-in twin of the QCheck schedule property: the EBR Harris
+   cell (no violation, so nothing cuts the search short) searched to
+   bound 2. Every worker count must run exactly the sequential multiset
+   of schedules and exhaust every level. *)
+let test_parallel_schedule_set () =
   let target =
     App.explore_target ~ops_per_thread:3 (scheme "ebr") App.Harris
   in
@@ -383,7 +406,6 @@ let test_prune_parallel_fp_set () =
       Ex.max_preemptions = 2;
       max_runs = 30_000;
       shrink = false;
-      record_fps = true;
     }
   in
   let seq = Ex.explore ~config target in
@@ -398,8 +420,12 @@ let test_prune_parallel_fp_set () =
         (Fmt.str "d=%d exhausts every level" d)
         3 par.Ex.res_stats.Ex.levels_completed;
       Alcotest.(check (list int))
-        (Fmt.str "d=%d reaches the sequential fingerprint set" d)
-        seq.Ex.res_fps par.Ex.res_fps)
+        (Fmt.str "d=%d runs/states" d)
+        [ seq.Ex.res_stats.Ex.runs; seq.Ex.res_stats.Ex.states ]
+        [ par.Ex.res_stats.Ex.runs; par.Ex.res_stats.Ex.states ];
+      Alcotest.(check (list int))
+        (Fmt.str "d=%d runs the sequential schedules" d)
+        seq.Ex.res_schedules par.Ex.res_schedules)
     diff_domain_counts
 
 (* ------------------------------------------------------------------ *)
@@ -486,50 +512,38 @@ let arb_case =
         b)
     gen_case
 
-(* With pruning off the bounded tree is enumerated in full, so parallel
-   and sequential searches must visit exactly the same runs — same
-   deviation-point fingerprint set, same run/state counts — whatever the
-   worker interleaving. With pruning on the counts may differ (the
-   visited table fills in a different order), but the level barrier
-   keeps a state first reached at a higher preemption level from
-   pruning a lower-level visit, so the set of deviation-point states
-   reached must still be the sequential one — a barrier-free engine
-   fails this at bound 2, which is why the property searches to bound 2.
-   EBR targets have no safety violation to cut the search short, which
-   keeps the comparison exact. *)
-let prop_fp_equivalence =
+(* The bounded tree is enumerated in full, so parallel and sequential
+   searches must run exactly the same schedules — same multiset of
+   schedule hashes, same run/state counts — whatever the worker
+   interleaving. Bound 2 makes the level barrier matter: the level-2
+   frontier is seeded from level-1 runs on every worker. EBR targets
+   have no safety violation to cut the search short, which keeps the
+   comparison exact. *)
+let prop_schedule_equivalence =
   QCheck.Test.make
-    ~name:"parallel visits the sequential fingerprint set" ~count:10
+    ~name:"parallel runs the sequential schedules" ~count:10
     arb_case
     (fun (structure, ops0, ops1) ->
       let target = op_target ~structure ~scheme_name:"ebr" [| ops0; ops1 |] in
-      let config prune =
+      let config =
         {
           Ex.default_config with
           Ex.max_preemptions = 2;
           max_runs = 30_000;
           shrink = false;
-          prune;
-          record_fps = true;
         }
       in
-      let seq = Ex.explore ~config:(config false) target in
+      let seq = Ex.explore ~config target in
       QCheck.assume (seq.Ex.res_cex = None);
       (* the space must have been exhausted, not budget-truncated *)
       QCheck.assume (seq.Ex.res_stats.Ex.levels_completed = 3);
-      let seq_pruned = Ex.explore ~config:(config true) target in
-      let same par =
-        par.Ex.res_fps = seq.Ex.res_fps
-        && par.Ex.res_stats.Ex.runs = seq.Ex.res_stats.Ex.runs
-        && par.Ex.res_stats.Ex.states = seq.Ex.res_stats.Ex.states
-        && par.Ex.res_cex = None
-      in
       List.for_all
         (fun d ->
-          same (Ex.explore ~config:(with_domains d (config false)) target)
-          && (Ex.explore ~config:(with_domains d (config true)) target)
-               .Ex.res_fps
-             = seq_pruned.Ex.res_fps)
+          let par = Ex.explore ~config:(with_domains d config) target in
+          par.Ex.res_schedules = seq.Ex.res_schedules
+          && par.Ex.res_stats.Ex.runs = seq.Ex.res_stats.Ex.runs
+          && par.Ex.res_stats.Ex.states = seq.Ex.res_stats.Ex.states
+          && par.Ex.res_cex = None)
         diff_domain_counts)
 
 (* Soundness: whatever schedule a parallel search reports, the sequential
@@ -853,6 +867,7 @@ let test_preemption_count () =
 
 let () =
   Alcotest.run "explore"
+  @@ Shuffle.maybe_shuffle
     [
       ( "explorer",
         [
@@ -893,12 +908,14 @@ let () =
             test_dpor_differential;
           Alcotest.test_case "dpor search is deterministic" `Quick
             test_dpor_deterministic;
-          Alcotest.test_case "prune on: parallel reaches the sequential set"
-            `Quick test_prune_parallel_fp_set;
+          Alcotest.test_case "parallel runs the sequential schedules"
+            `Quick test_parallel_schedule_set;
+          Alcotest.test_case "cover cell at 2 domains" `Quick
+            test_cover_cell_2d;
         ] );
       ( "parallel-qcheck",
         [
-          QCheck_alcotest.to_alcotest prop_fp_equivalence;
+          QCheck_alcotest.to_alcotest prop_schedule_equivalence;
           QCheck_alcotest.to_alcotest prop_parallel_sound;
           QCheck_alcotest.to_alcotest prop_dpor_sound;
         ] );

@@ -114,6 +114,36 @@ let test_finish_bounded_flags_progress () =
          | _ -> false)
        (Monitor.violations mon))
 
+(* A budget of zero or less is spent before the first quantum: the live
+   thread is flagged at once and the script ends, instead of the budget
+   being re-armed at every pick until the step limit. *)
+let test_finish_bounded_spent_budget () =
+  List.iter
+    (fun budget ->
+      let mon = Monitor.create ~mode:`Record ~trace:true () in
+      let sched =
+        Sched.create ~max_steps:10_000 ~nthreads:1
+          (Sched.Script [ Sched.Finish_bounded (0, budget) ])
+          (Heap.create mon)
+      in
+      Sched.spawn sched ~tid:0 (fun ctx ->
+          while true do
+            Sched.yield ctx
+          done);
+      let outcome = Sched.run sched in
+      let label = Fmt.str "budget %d" budget in
+      Alcotest.(check bool) (label ^ ": script done") true
+        (outcome = Sched.Script_done);
+      Alcotest.(check int) (label ^ ": no quantum ran") 0
+        (Sched.total_steps sched);
+      Alcotest.(check bool) (label ^ ": progress violation") true
+        (List.exists
+           (function
+             | Event.Violation { kind = Event.Progress_failure; _ } -> true
+             | _ -> false)
+           (Monitor.violations mon)))
+    [ 0; -5 ]
+
 let test_random_deterministic () =
   let run seed =
     let sched, mon = setup (Sched.Random (Rng.create seed)) in
@@ -449,6 +479,7 @@ let test_inline_completion_same_events () =
 
 let () =
   Alcotest.run "era_sched"
+  @@ Shuffle.maybe_shuffle
     [
       ( "scheduler",
         [
@@ -461,6 +492,8 @@ let () =
           Alcotest.test_case "stall/unstall" `Quick test_stall_skips_thread;
           Alcotest.test_case "bounded solo run" `Quick
             test_finish_bounded_flags_progress;
+          Alcotest.test_case "bounded solo run, spent budget" `Quick
+            test_finish_bounded_spent_budget;
           Alcotest.test_case "random determinism" `Quick
             test_random_deterministic;
           Alcotest.test_case "golden schedule seed 11" `Quick

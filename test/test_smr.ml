@@ -415,30 +415,10 @@ let test_registry () =
       ignore (Registry.find_exn "zzz"))
 
 (* Every case above builds its scheme/heap/monitor state from scratch, so
-   execution order must not matter. ERA_TEST_SHUFFLE=<seed> permutes the
-   groups and the cases within each group to enforce that (CI runs one
-   shuffled leg). *)
-let maybe_shuffle suites =
-  match Sys.getenv_opt "ERA_TEST_SHUFFLE" with
-  | None | Some "" -> suites
-  | Some seed_s ->
-    let seed = Option.value ~default:1 (int_of_string_opt seed_s) in
-    let st = Random.State.make [| seed |] in
-    let shuffle l =
-      let a = Array.of_list l in
-      for i = Array.length a - 1 downto 1 do
-        let j = Random.State.int st (i + 1) in
-        let tmp = a.(i) in
-        a.(i) <- a.(j);
-        a.(j) <- tmp
-      done;
-      Array.to_list a
-    in
-    shuffle (List.map (fun (g, cases) -> (g, shuffle cases)) suites)
-
+   execution order must not matter; [Shuffle] enforces it. *)
 let () =
   Alcotest.run "era_smr"
-  @@ maybe_shuffle
+  @@ Shuffle.maybe_shuffle
     [
       ( "integration",
         audit_cases
