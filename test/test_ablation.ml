@@ -13,6 +13,17 @@ let test_hp_threshold_tracks_backlog () =
       (large.Era.Ablation.max_backlog <= 32 + 3)
   | _ -> Alcotest.fail "expected two rows"
 
+(* Exact (max backlog, steps) of the default sweep: the stalled-reader
+   run is seeded and deterministic, so these are pinned. *)
+let test_hp_sweep_pinned () =
+  Alcotest.(check (list (triple int int int)))
+    "threshold, max backlog, steps"
+    [ (2, 3, 102_378); (8, 8, 102_373); (32, 32, 102_373);
+      (128, 127, 102_253) ]
+    (List.map
+       (fun r -> Era.Ablation.(r.threshold, r.max_backlog, r.steps))
+       (Era.Ablation.hp_sweep ()))
+
 let test_hp_functor_variants_coexist () =
   (* Two differently-tuned HP instances are independent schemes. *)
   let module Tight =
@@ -58,6 +69,7 @@ let () =
         [
           Alcotest.test_case "threshold tracks backlog" `Slow
             test_hp_threshold_tracks_backlog;
+          Alcotest.test_case "pinned sweep" `Slow test_hp_sweep_pinned;
           Alcotest.test_case "functor variants" `Quick
             test_hp_functor_variants_coexist;
         ] );

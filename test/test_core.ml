@@ -237,6 +237,95 @@ let test_stall_fuzz_discovers () =
   Alcotest.(check int) "debra clean" 0 (found "debra")
 
 (* ------------------------------------------------------------------ *)
+(* Pinned harness outputs                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Exact values of the seeded simulated harnesses. Every seed, prefill,
+   hook subscription and quantum is deterministic, so any change to how
+   a cell is built or run that is meant to preserve behaviour must
+   leave these numbers as they are. *)
+
+let test_stall_fuzz_pinned () =
+  let expect = [ ("hp", 6, 2945); ("ibr", 3, 2054); ("he", 5, 2582) ] in
+  List.iter
+    (fun name ->
+      let r =
+        Era.Applicability.stall_fuzz ~tries:30 ~seed:1 (scheme name)
+          Era.Applicability.Harris
+      in
+      let first =
+        Option.map
+          (fun (v : Era_explore.Explore.violation_info) ->
+            (Era_sim.Event.violation_name v.v_kind, v.v_tid, v.v_step))
+          r.Era_explore.Explore.fz_first
+      in
+      match List.find_opt (fun (n, _, _) -> n = name) expect with
+      | Some (_, found, step) ->
+        Alcotest.(check int) (name ^ " found") found r.fz_found;
+        Alcotest.(check (option (triple string int int)))
+          (name ^ " first violation")
+          (Some (Era_sim.Event.violation_name Era_sim.Event.Stale_value_used,
+                 0, step))
+          first
+      | None ->
+        Alcotest.(check int) (name ^ " found") 0 r.fz_found;
+        Alcotest.(check bool) (name ^ " no violation") true (first = None))
+    Era_smr.Registry.names
+
+let test_matrix_pinned () =
+  let open Era.Applicability in
+  let set_structures = [ Harris; Michael; Hash; Hash_michael ] in
+  List.iter
+    (fun (name, cells) ->
+      List.iter
+        (fun (st, v) ->
+          let cell = name ^ "/" ^ structure_name st in
+          let violations = if name = "hp" && st = Hash then 1 else 0 in
+          let non_lin =
+            if name <> "debra" then 0
+            else
+              match st with
+              | Harris | Hash_michael | Stack -> 1
+              | Queue -> 2
+              | Michael | Hash -> 0
+          in
+          let adversarial =
+            List.mem name [ "hp"; "ibr"; "he" ] && (st = Harris || st = Hash)
+          in
+          let neutralize = name = "debra" && List.mem st set_structures in
+          Alcotest.(check int) (cell ^ " fuzz runs") 4 v.fuzz_runs;
+          Alcotest.(check int) (cell ^ " violations") violations v.violations;
+          Alcotest.(check bool)
+            (cell ^ " first violation iff violations")
+            (violations > 0)
+            (v.first_violation <> None);
+          Alcotest.(check int) (cell ^ " non-linearizable") non_lin
+            v.non_linearizable;
+          Alcotest.(check int) (cell ^ " progress failures") 0
+            v.progress_failures;
+          Alcotest.(check bool) (cell ^ " adversarial") adversarial
+            v.adversarial_unsafe;
+          Alcotest.(check bool) (cell ^ " neutralize") neutralize
+            v.neutralize_unsafe;
+          Alcotest.(check int) (cell ^ " crashed") 0 v.crashed)
+        cells)
+    (matrix ~fuzz_runs:4 ())
+
+let test_size_sweep_pinned () =
+  List.iter
+    (fun name ->
+      let expect =
+        match name with
+        | "hp" | "vbr" | "nbr" -> (8, 8)
+        | "debra" -> (2, 2)
+        | _ -> (31, 127)
+      in
+      let point size = Era.Robustness.size_sweep_point (scheme name) ~size in
+      Alcotest.(check (pair int int)) (name ^ " backlog at 32, 128") expect
+        (point 32, point 128))
+    Era_smr.Registry.names
+
+(* ------------------------------------------------------------------ *)
 (* Access-aware audits                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -328,6 +417,14 @@ let () =
             test_neutralize_scenario;
           Alcotest.test_case "stall fuzzer discovers violations" `Slow
             test_stall_fuzz_discovers;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "stall fuzz on harris" `Slow
+            test_stall_fuzz_pinned;
+          Alcotest.test_case "applicability matrix" `Slow test_matrix_pinned;
+          Alcotest.test_case "size-sweep backlogs" `Slow
+            test_size_sweep_pinned;
         ] );
       ( "access-aware",
         [
