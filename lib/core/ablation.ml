@@ -1,6 +1,3 @@
-open Era_sim
-module Sched = Era_sched.Sched
-
 type hp_row = {
   threshold : int;
   slots : int;
@@ -15,51 +12,6 @@ type ibr_row = {
   size_backlog : int;
 }
 
-(* Stalled reader + full-range churn on Michael's list (HP-safe). *)
-let michael_stall_run (module S : Era_smr.Smr_intf.S) ~size =
-  let mon = Monitor.create ~mode:`Record ~trace:false () in
-  let heap = Heap.create mon in
-  let node1_addr = ref (-1) in
-  let reader_at_node1 = function
-    | Event.Access { tid = 0; addr; kind = Event.Read; _ } ->
-      addr = !node1_addr
-    | _ -> false
-  in
-  let script =
-    Sched.Script
-      [
-        Sched.Run_until (0, reader_at_node1);
-        Sched.Finish 1;
-        Sched.Finish_bounded (0, (size * 512) + 100_000);
-      ]
-  in
-  let sched = Sched.create ~nthreads:2 script heap in
-  let module L = Era_sets.Michael_list.Make (S) in
-  let g = S.create heap ~nthreads:2 in
-  let ext = Sched.external_ctx sched ~tid:1 in
-  let dl = L.create ext g in
-  let h_setup = L.handle dl ext in
-  for k = 1 to size do
-    ignore (L.insert h_setup k)
-  done;
-  (node1_addr :=
-     match
-       List.find_opt (fun (_, _, key) -> key = 1) (Heap.live_nodes heap)
-     with
-     | Some (addr, _, _) -> addr
-     | None -> failwith "ablation: node 1 missing");
-  Sched.spawn sched ~tid:0 (fun ctx ->
-      let h = L.handle dl ctx in
-      ignore (L.contains h size));
-  Sched.spawn sched ~tid:1 (fun ctx ->
-      let h = L.handle dl ctx in
-      for k = 2 to size do
-        ignore (L.delete h k);
-        ignore (L.insert h k)
-      done);
-  ignore (Sched.run sched);
-  (Monitor.max_retired mon, Monitor.time mon)
-
 let hp_sweep ?(thresholds = [ 2; 8; 32; 128 ]) ?(slots = 3) ?(size = 128) ()
     =
   List.map
@@ -70,7 +22,9 @@ let hp_sweep ?(thresholds = [ 2; 8; 32; 128 ]) ?(slots = 3) ?(size = 128) ()
           let scan_threshold = threshold
         end)
       in
-      let max_backlog, steps = michael_stall_run (module H) ~size in
+      let max_backlog, steps =
+        Robustness.stalled_reader_run (module H) Applicability.Michael ~size
+      in
       { threshold; slots; max_backlog; steps })
     thresholds
 

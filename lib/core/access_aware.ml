@@ -17,69 +17,21 @@ let audit ?(runs = 10) ?(threads = 3) ?(ops_per_thread = 40) ?(seed = 11)
   let violations = Hashtbl.create 8 in
   let total_ops = ref 0 in
   for i = 0 to runs - 1 do
-    let mon = Monitor.create ~mode:`Record ~trace:false () in
-    let heap = Heap.create mon in
     let sched =
-      Sched.create ~nthreads:threads
+      Applicability.fresh ~threads
         (Sched.Random (Rng.create (seed + (i * 613))))
-        heap
     in
-    let ext = Sched.external_ctx sched ~tid:0 in
-    let g = Audit.create heap ~nthreads:threads in
-    let keys = Workload.Uniform 6 in
-    let worker =
-      match structure with
-      | Applicability.Harris ->
-        let module L = Era_sets.Harris_list.Make (Audit) in
-        let dl = L.create ext g in
-        fun tid (ctx : Sched.ctx) ->
-          Workload.run_set_ops
-            (L.ops (L.handle dl ctx) ~record:false)
-            (Rng.create ((seed * 31) + tid))
-            ~ops:ops_per_thread ~keys ~mix:Workload.balanced
-      | Applicability.Michael ->
-        let module L = Era_sets.Michael_list.Make (Audit) in
-        let dl = L.create ext g in
-        fun tid ctx ->
-          Workload.run_set_ops
-            (L.ops (L.handle dl ctx) ~record:false)
-            (Rng.create ((seed * 31) + tid))
-            ~ops:ops_per_thread ~keys ~mix:Workload.balanced
-      | Applicability.Hash ->
-        let module H = Era_sets.Hash_set.Make (Audit) in
-        let hs = H.create ~nbuckets:4 ext g in
-        fun tid ctx ->
-          Workload.run_set_ops
-            (H.ops (H.handle hs ctx) ~record:false)
-            (Rng.create ((seed * 31) + tid))
-            ~ops:ops_per_thread ~keys ~mix:Workload.balanced
-      | Applicability.Hash_michael ->
-        let module H = Era_sets.Hash_set.Make_michael (Audit) in
-        let hs = H.create ~nbuckets:4 ext g in
-        fun tid ctx ->
-          Workload.run_set_ops
-            (H.ops (H.handle hs ctx) ~record:false)
-            (Rng.create ((seed * 31) + tid))
-            ~ops:ops_per_thread ~keys ~mix:Workload.balanced
-      | Applicability.Stack ->
-        let module T = Era_sets.Treiber_stack.Make (Audit) in
-        let st = T.create ext g in
-        fun tid ctx ->
-          Workload.run_stack_ops
-            (T.ops (T.handle st ctx) ~record:false)
-            (Rng.create ((seed * 31) + tid))
-            ~ops:ops_per_thread ~keys
-      | Applicability.Queue ->
-        let module Q = Era_sets.Ms_queue.Make (Audit) in
-        let q = Q.create ext g in
-        fun tid ctx ->
-          Workload.run_queue_ops
-            (Q.ops (Q.handle q ctx) ~record:false)
-            (Rng.create ((seed * 31) + tid))
-            ~ops:ops_per_thread ~keys
+    let g = Audit.create (Sched.heap sched) ~nthreads:threads in
+    let make =
+      Applicability.instantiate (module Audit) structure g
+        (Sched.external_ctx sched ~tid:0)
     in
     for tid = 0 to threads - 1 do
-      Sched.spawn sched ~tid (fun ctx -> worker tid ctx)
+      Sched.spawn sched ~tid (fun ctx ->
+          Applicability.run_ops (make ~record:false ctx)
+            (Rng.create ((seed * 31) + tid))
+            ~ops:ops_per_thread ~keys:(Workload.Uniform 6)
+            ~mix:Workload.balanced)
     done;
     ignore (Sched.run sched);
     total_ops := !total_ops + (threads * ops_per_thread);
@@ -105,11 +57,9 @@ let audit_all ?runs ?seed () =
    in one read phase, crosses a phase boundary, dereferences the stale
    permission in the next read phase, and CASes from a read phase. *)
 let negative_control () =
-  let mon = Monitor.create ~mode:`Record ~trace:false () in
-  let heap = Heap.create mon in
-  let sched = Sched.create ~nthreads:1 Sched.Round_robin heap in
+  let sched = Applicability.fresh ~threads:1 Sched.Round_robin in
   let ext = Sched.external_ctx sched ~tid:0 in
-  let g = Audit.create heap ~nthreads:1 in
+  let g = Audit.create (Sched.heap sched) ~nthreads:1 in
   let t = Audit.thread g ext in
   let anchor = Era_sched.Mem.alloc_sentinel ext ~key:0 in
   Audit.begin_op t;

@@ -57,85 +57,112 @@ let spec_of = function
   | Stack -> (module Era_history.Spec.Int_stack)
   | Queue -> (module Era_history.Spec.Int_queue)
 
-(* Build the structure and return one worker body per thread. [keys],
-   [mix] and [prefill] default to the historical fuzzing workload; the
-   explorer passes a smaller key range, update-heavy churn and a prefilled
-   structure so interesting interleavings need very few quanta. Prefill
-   runs through the external context, so every [make] call of an explorer
-   target reproduces the identical initial heap. *)
-let build_workers (type gt tc)
-    (module S : Era_smr.Smr_intf.S with type t = gt and type tctx = tc)
-    structure heap ~nthreads ~seed ~ops_per_thread
-    ?(keys = Workload.Uniform 6) ?(mix = Workload.balanced) ?(prefill = [])
-    ext =
-  let g = S.create heap ~nthreads in
+(* ------------------------------------------------------------------ *)
+(* Cells                                                              *)
+(* ------------------------------------------------------------------ *)
+
+type handle =
+  | Set_ops of Era_sets.Set_intf.ops
+  | Stack_ops of Era_sets.Treiber_stack.stack_ops
+  | Queue_ops of Era_sets.Ms_queue.queue_ops
+
+(* The one structure dispatch: apply the structure's functor, create the
+   structure through [ext], and hand back a per-thread handle maker.
+   Handles are made where they are used (inside a thread's body, or on
+   [ext] for a prefill), since making one registers the thread with the
+   scheme. *)
+let instantiate (type g)
+    (module S : Era_smr.Smr_intf.S with type t = g) structure (g : g) ext =
   match structure with
   | Harris ->
     let module L = Era_sets.Harris_list.Make (S) in
     let dl = L.create ext g in
-    let pre = L.ops (L.handle dl ext) ~record:false in
-    List.iter (fun k -> ignore (pre.insert k)) prefill;
-    fun tid (ctx : Sched.ctx) ->
-      let ops = L.ops (L.handle dl ctx) ~record:true in
-      Workload.run_set_ops ops
-        (Rng.create ((seed * 131) + tid))
-        ~ops:ops_per_thread ~keys ~mix;
-      ops.quiesce ()
+    fun ~record ctx -> Set_ops (L.ops (L.handle dl ctx) ~record)
   | Michael ->
     let module L = Era_sets.Michael_list.Make (S) in
     let dl = L.create ext g in
-    let pre = L.ops (L.handle dl ext) ~record:false in
-    List.iter (fun k -> ignore (pre.insert k)) prefill;
-    fun tid ctx ->
-      let ops = L.ops (L.handle dl ctx) ~record:true in
-      Workload.run_set_ops ops
-        (Rng.create ((seed * 131) + tid))
-        ~ops:ops_per_thread ~keys ~mix;
-      ops.quiesce ()
+    fun ~record ctx -> Set_ops (L.ops (L.handle dl ctx) ~record)
   | Hash ->
     let module H = Era_sets.Hash_set.Make (S) in
     let hs = H.create ~nbuckets:4 ext g in
-    let pre = H.ops (H.handle hs ext) ~record:false in
-    List.iter (fun k -> ignore (pre.insert k)) prefill;
-    fun tid ctx ->
-      let ops = H.ops (H.handle hs ctx) ~record:true in
-      Workload.run_set_ops ops
-        (Rng.create ((seed * 131) + tid))
-        ~ops:ops_per_thread ~keys ~mix;
-      ops.quiesce ()
+    fun ~record ctx -> Set_ops (H.ops (H.handle hs ctx) ~record)
   | Hash_michael ->
     let module H = Era_sets.Hash_set.Make_michael (S) in
     let hs = H.create ~nbuckets:4 ext g in
-    let pre = H.ops (H.handle hs ext) ~record:false in
-    List.iter (fun k -> ignore (pre.insert k)) prefill;
-    fun tid ctx ->
-      let ops = H.ops (H.handle hs ctx) ~record:true in
-      Workload.run_set_ops ops
-        (Rng.create ((seed * 131) + tid))
-        ~ops:ops_per_thread ~keys ~mix;
-      ops.quiesce ()
+    fun ~record ctx -> Set_ops (H.ops (H.handle hs ctx) ~record)
   | Stack ->
     let module T = Era_sets.Treiber_stack.Make (S) in
     let st = T.create ext g in
-    let pre = T.ops (T.handle st ext) ~record:false in
-    List.iter (fun k -> pre.push k) prefill;
-    fun tid ctx ->
-      let ops = T.ops (T.handle st ctx) ~record:true in
-      Workload.run_stack_ops ops
-        (Rng.create ((seed * 131) + tid))
-        ~ops:ops_per_thread ~keys;
-      ops.quiesce ()
+    fun ~record ctx -> Stack_ops (T.ops (T.handle st ctx) ~record)
   | Queue ->
     let module Q = Era_sets.Ms_queue.Make (S) in
     let q = Q.create ext g in
-    let pre = Q.ops (Q.handle q ext) ~record:false in
-    List.iter (fun k -> pre.enqueue k) prefill;
-    fun tid ctx ->
-      let ops = Q.ops (Q.handle q ctx) ~record:true in
-      Workload.run_queue_ops ops
-        (Rng.create ((seed * 131) + tid))
-        ~ops:ops_per_thread ~keys;
-      ops.quiesce ()
+    fun ~record ctx -> Queue_ops (Q.ops (Q.handle q ctx) ~record)
+
+let fill h keys =
+  match h with
+  | Set_ops o -> List.iter (fun k -> ignore (o.insert k)) keys
+  | Stack_ops o -> List.iter o.push keys
+  | Queue_ops o -> List.iter o.enqueue keys
+
+let run_ops h rng ~ops ~keys ~mix =
+  match h with
+  | Set_ops o -> Workload.run_set_ops o rng ~ops ~keys ~mix
+  | Stack_ops o -> Workload.run_stack_ops o rng ~ops ~keys
+  | Queue_ops o -> Workload.run_queue_ops o rng ~ops ~keys
+
+let quiesce = function
+  | Set_ops o -> o.quiesce ()
+  | Stack_ops o -> o.quiesce ()
+  | Queue_ops o -> o.quiesce ()
+
+let fresh ?(trace = false) ~threads strategy =
+  let mon = Monitor.create ~mode:`Record ~trace () in
+  Sched.create ~nthreads:threads strategy (Heap.create mon)
+
+(* Only the Invoke/Response stream feeds the linearizability check, so
+   collect exactly those kinds through a tag subscription; every memory
+   access then stays on the monitor's allocation-free fast path.
+   Filtering preserves the order of operation events, which is all the
+   precedence relation of the checker depends on. *)
+let op_log mon =
+  let log = Vec.create () in
+  Monitor.subscribe_tags mon
+    [ Event.tag_invoke; Event.tag_response ]
+    (fun _time ev -> Vec.push log ev);
+  log
+
+let linearizes structure log =
+  (Era_history.Linearize.check (spec_of structure)
+     (Era_history.History.of_trace (Vec.to_list log)))
+    .Era_history.Linearize.ok
+
+let crashed sched =
+  let n = ref 0 in
+  for tid = 0 to Sched.nthreads sched - 1 do
+    match Sched.thread_outcome sched tid with
+    | Sched.Crashed _ -> incr n
+    | _ -> ()
+  done;
+  !n
+
+(* One worker body per thread over a fresh instance of the cell. [keys],
+   [mix] and [prefill] default to the historical fuzzing workload; the
+   explorer passes a smaller key range, update-heavy churn and a
+   prefilled structure so interesting interleavings need very few
+   quanta. Prefill runs through the external context, so every [make]
+   call of an explorer target reproduces the identical initial heap. *)
+let build_workers (module S : Era_smr.Smr_intf.S) structure ~seed
+    ~ops_per_thread ?(keys = Workload.Uniform 6) ?(mix = Workload.balanced)
+    ?(prefill = []) sched =
+  let g = S.create (Sched.heap sched) ~nthreads:(Sched.nthreads sched) in
+  let ext = Sched.external_ctx sched ~tid:0 in
+  let make = instantiate (module S) structure g ext in
+  fill (make ~record:false ext) prefill;
+  fun tid ctx ->
+    let h = make ~record:true ctx in
+    run_ops h (Rng.create ((seed * 131) + tid)) ~ops:ops_per_thread ~keys ~mix;
+    quiesce h
 
 type run_stats = {
   r_violations : int;
@@ -145,19 +172,7 @@ type run_stats = {
   r_crashed : int;
 }
 
-let one_run (module S : Era_smr.Smr_intf.S) structure ~threads ~ops_per_thread
-    ~seed ~progress_mode =
-  (* Only the Invoke/Response stream feeds the linearizability check, so
-     collect exactly those kinds through a tag subscription; every
-     memory access then stays on the monitor's allocation-free fast
-     path. Filtering preserves the order of operation events, which is
-     all the precedence relation of the checker depends on. *)
-  let mon = Monitor.create ~mode:`Record ~trace:false () in
-  let ops_log = Vec.create () in
-  Monitor.subscribe_tags mon
-    [ Event.tag_invoke; Event.tag_response ]
-    (fun _time ev -> Vec.push ops_log ev);
-  let heap = Heap.create mon in
+let one_run scheme structure ~threads ~ops_per_thread ~seed ~progress_mode =
   let strategy =
     if progress_mode then
       (* Interleave a prefix, then force bounded solo completions: the
@@ -167,12 +182,10 @@ let one_run (module S : Era_smr.Smr_intf.S) structure ~threads ~ops_per_thread
         @ List.init threads (fun tid -> Sched.Finish_bounded (tid, 200_000)))
     else Sched.Random (Rng.create seed)
   in
-  let sched = Sched.create ~nthreads:threads strategy heap in
-  let ext = Sched.external_ctx sched ~tid:0 in
-  let worker =
-    build_workers (module S) structure heap ~nthreads:threads ~seed
-      ~ops_per_thread ext
-  in
+  let sched = fresh ~threads strategy in
+  let mon = Sched.monitor sched in
+  let ops_log = op_log mon in
+  let worker = build_workers scheme structure ~seed ~ops_per_thread sched in
   for tid = 0 to threads - 1 do
     Sched.spawn sched ~tid (fun ctx -> worker tid ctx)
   done;
@@ -183,25 +196,13 @@ let one_run (module S : Era_smr.Smr_intf.S) structure ~threads ~ops_per_thread
   in
   let all = Monitor.violations mon in
   let progress, safety = List.partition is_progress all in
-  let crashed = ref 0 in
-  for tid = 0 to threads - 1 do
-    match Sched.thread_outcome sched tid with
-    | Sched.Crashed _ -> incr crashed
-    | _ -> ()
-  done;
-  let linearizable =
-    if safety <> [] then true  (* poisoned heap: correctness moot *)
-    else
-      (Era_history.Linearize.check (spec_of structure)
-         (Era_history.History.of_trace (Vec.to_list ops_log)))
-        .Era_history.Linearize.ok
-  in
   {
     r_violations = List.length safety;
     r_first = (match safety with v :: _ -> Some v | [] -> None);
-    r_linearizable = linearizable;
+    (* poisoned heap: correctness moot *)
+    r_linearizable = safety <> [] || linearizes structure ops_log;
     r_progress_failures = List.length progress;
-    r_crashed = !crashed;
+    r_crashed = crashed sched;
   }
 
 (* Deterministic neutralization scenario (the DEBRA+ counterpart of the
@@ -220,12 +221,6 @@ let neutralize_check (module S : Era_smr.Smr_intf.S) structure =
   match structure with
   | Stack | Queue -> false
   | Harris | Michael | Hash | Hash_michael ->
-    let mon = Monitor.create ~mode:`Record ~trace:false () in
-    let ops_log = Vec.create () in
-    Monitor.subscribe_tags mon
-      [ Event.tag_invoke; Event.tag_response ]
-      (fun _time ev -> Vec.push ops_log ev);
-    let heap = Heap.create mon in
     let cas_seen = ref 0 in
     let after_second_cas = function
       | Event.Access { tid = 1; kind = Event.Cas true; _ } ->
@@ -234,59 +229,39 @@ let neutralize_check (module S : Era_smr.Smr_intf.S) structure =
       | _ -> false
     in
     let sched =
-      Sched.create ~nthreads:2
+      fresh ~threads:2
         (Sched.Script
            [
              Sched.Run_until (1, after_second_cas);
              Sched.Finish 0;
              Sched.Finish_bounded (1, 200_000);
            ])
-        heap
     in
+    let mon = Sched.monitor sched in
+    let ops_log = op_log mon in
     let ext = Sched.external_ctx sched ~tid:0 in
-    let g = S.create heap ~nthreads:2 in
-    let set_ops =
-      match structure with
-      | Harris ->
-        let module L = Era_sets.Harris_list.Make (S) in
-        let dl = L.create ext g in
-        fun ctx -> L.ops (L.handle dl ctx) ~record:true
-      | Michael ->
-        let module L = Era_sets.Michael_list.Make (S) in
-        let dl = L.create ext g in
-        fun ctx -> L.ops (L.handle dl ctx) ~record:true
-      | Hash ->
-        let module H = Era_sets.Hash_set.Make (S) in
-        let hs = H.create ~nbuckets:4 ext g in
-        fun ctx -> H.ops (H.handle hs ctx) ~record:true
-      | Hash_michael ->
-        let module H = Era_sets.Hash_set.Make_michael (S) in
-        let hs = H.create ~nbuckets:4 ext g in
-        fun ctx -> H.ops (H.handle hs ctx) ~record:true
-      | Stack | Queue -> assert false
+    let make =
+      instantiate (module S) structure (S.create (Sched.heap sched) ~nthreads:2) ext
+    in
+    let set_ops ctx =
+      match make ~record:true ctx with
+      | Set_ops o -> o
+      | Stack_ops _ | Queue_ops _ -> assert false
     in
     Sched.spawn sched ~tid:1 (fun ctx ->
         let ops = set_ops ctx in
-        ignore (ops.Era_sets.Set_intf.insert 100);
-        ignore (ops.Era_sets.Set_intf.delete 100);
-        ops.Era_sets.Set_intf.quiesce ());
+        ignore (ops.insert 100);
+        ignore (ops.delete 100);
+        ops.quiesce ());
     Sched.spawn sched ~tid:0 (fun ctx ->
         let ops = set_ops ctx in
         for i = 1 to 16 do
           let k = 1 + (i mod 8) in
-          ignore (ops.Era_sets.Set_intf.insert k);
-          ignore (ops.Era_sets.Set_intf.delete k)
+          ignore (ops.insert k);
+          ignore (ops.delete k)
         done;
-        ops.Era_sets.Set_intf.quiesce ());
+        ops.quiesce ());
     ignore (Sched.run sched);
-    let crashed =
-      List.exists
-        (fun tid ->
-          match Sched.thread_outcome sched tid with
-          | Sched.Crashed _ -> true
-          | _ -> false)
-        [ 0; 1 ]
-    in
     let poisoned =
       List.exists
         (function
@@ -294,12 +269,7 @@ let neutralize_check (module S : Era_smr.Smr_intf.S) structure =
           | _ -> true)
         (Monitor.violations mon)
     in
-    crashed
-    || (not poisoned)
-       && not
-            (Era_history.Linearize.check (spec_of structure)
-               (Era_history.History.of_trace (Vec.to_list ops_log)))
-              .Era_history.Linearize.ok
+    crashed sched > 0 || ((not poisoned) && not (linearizes structure ops_log))
 
 let adversarial_check scheme structure =
   match structure with
@@ -328,7 +298,7 @@ let run ?(fuzz_runs = 20) ?(threads = 3) ?(ops_per_thread = 30) ?(seed = 7)
   for i = 0 to fuzz_runs - 1 do
     let progress_mode = i mod 4 = 3 in
     let st =
-      one_run (module S) structure ~threads ~ops_per_thread
+      one_run scheme structure ~threads ~ops_per_thread
         ~seed:(seed + (i * 997))
         ~progress_mode
     in
@@ -355,16 +325,14 @@ let run ?(fuzz_runs = 20) ?(threads = 3) ?(ops_per_thread = 30) ?(seed = 7)
    random point and resumed at the end — the ingredient that lets a
    black-box search stumble on Figure 1-like executions without being
    told the construction. *)
-let stall_fuzz ?(threads = 3) ?(ops_per_thread = 60) ~tries ~seed
-    ((module S : Era_smr.Smr_intf.S) as scheme) structure =
-  ignore scheme;
+let stall_fuzz ?(threads = 3) ?(ops_per_thread = 60) ~tries ~seed scheme
+    structure =
   let found = ref 0 in
   let first = ref None in
   for i = 0 to tries - 1 do
-    let mon = Monitor.create ~mode:`Record ~trace:false () in
-    let heap = Heap.create mon in
     let rng = Rng.create (seed + (i * 7919)) in
-    let sched = Sched.create ~nthreads:threads (Sched.Random rng) heap in
+    let sched = fresh ~threads (Sched.Random rng) in
+    let mon = Sched.monitor sched in
     let stall_at = 50 + Rng.int rng 400 in
     let count = ref 0 in
     Monitor.subscribe mon (fun _ ev ->
@@ -384,10 +352,8 @@ let stall_fuzz ?(threads = 3) ?(ops_per_thread = 60) ~tries ~seed
             viol :=
               Era_explore.Explore.violation_of_event
                 ~step:(Sched.total_steps sched) ev);
-    let ext = Sched.external_ctx sched ~tid:0 in
     let worker =
-      build_workers (module S) structure heap ~nthreads:threads
-        ~seed:(seed + i) ~ops_per_thread ext
+      build_workers scheme structure ~seed:(seed + i) ~ops_per_thread sched
     in
     for tid = 0 to threads - 1 do
       Sched.spawn sched ~tid (fun ctx -> worker tid ctx)
@@ -398,15 +364,7 @@ let stall_fuzz ?(threads = 3) ?(ops_per_thread = 60) ~tries ~seed
       Sched.unstall sched 0;
       ignore (Sched.run sched)
     | Sched.All_finished | Sched.Script_done | Sched.Step_limit -> ());
-    let crashed =
-      List.exists
-        (fun tid ->
-          match Sched.thread_outcome sched tid with
-          | Sched.Crashed _ -> true
-          | _ -> false)
-        (List.init threads Fun.id)
-    in
-    if !viol <> None || crashed then incr found;
+    if !viol <> None || crashed sched > 0 then incr found;
     if !first = None then first := !viol
   done;
   {
@@ -440,7 +398,6 @@ let widely_applicable verdicts =
 let explore_target ?(threads = 2) ?(ops_per_thread = 14) ?(keys = 4)
     ?(seed = 2) ?(prefill = 2) ?(lincheck = false) ?robustness_bound
     ((module S : Era_smr.Smr_intf.S) as scheme) structure =
-  ignore scheme;
   (* The linearizability checker assumes an empty initial structure; a
      prefill would be invisible to it (prefill ops are not recorded). *)
   let prefill = if lincheck then 0 else prefill in
@@ -456,16 +413,13 @@ let explore_target ?(threads = 2) ?(ops_per_thread = 14) ?(keys = 4)
     ]
   in
   let make ~trace strategy =
-    let mon = Monitor.create ~mode:`Record ~trace () in
-    let heap = Heap.create mon in
-    let sched = Sched.create ~nthreads:threads strategy heap in
-    let ext = Sched.external_ctx sched ~tid:0 in
+    let sched = fresh ~trace ~threads strategy in
+    let mon = Sched.monitor sched in
     let worker =
-      build_workers (module S) structure heap ~nthreads:threads ~seed
-        ~ops_per_thread ~keys:(Workload.Uniform keys)
-        ~mix:Workload.update_heavy
+      build_workers scheme structure ~seed ~ops_per_thread
+        ~keys:(Workload.Uniform keys) ~mix:Workload.update_heavy
         ~prefill:(List.init prefill (fun i -> i + 1))
-        ext
+        sched
     in
     (* Linearizability as an explorable violation: record the op stream
        and have the last thread to finish run the checker, emitting a
@@ -476,20 +430,14 @@ let explore_target ?(threads = 2) ?(ops_per_thread = 14) ?(keys = 4)
     let epilogue =
       if not lincheck then fun _tid -> ()
       else begin
-        let ops_log = Vec.create () in
-        Monitor.subscribe_tags mon
-          [ Event.tag_invoke; Event.tag_response ]
-          (fun _time ev -> Vec.push ops_log ev);
+        let ops_log = op_log mon in
         let remaining = ref threads in
         fun tid ->
           decr remaining;
           if
             !remaining = 0
             && Monitor.violation_count mon = 0
-            && not
-                 (Era_history.Linearize.check (spec_of structure)
-                    (Era_history.History.of_trace (Vec.to_list ops_log)))
-                   .Era_history.Linearize.ok
+            && not (linearizes structure ops_log)
           then
             Monitor.emit mon
               (Event.Violation

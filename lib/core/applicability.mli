@@ -33,6 +33,58 @@ val structure_of_name : string -> structure option
 (** Accepts {!structure_name} outputs plus short forms ([harris],
     [michael], [hash], [stack], [queue], …), case-insensitively. *)
 
+(** {2 Cells}
+
+    The one way a simulated (scheme × structure) cell is built, shared by
+    the fuzzers below, the explorer targets, the access-aware audit
+    ({!Access_aware}) and the stalled-reader runs ({!Robustness}). *)
+
+type handle =
+  | Set_ops of Era_sets.Set_intf.ops
+  | Stack_ops of Era_sets.Treiber_stack.stack_ops
+  | Queue_ops of Era_sets.Ms_queue.queue_ops
+(** One thread's operations on an instantiated structure. *)
+
+val instantiate :
+  (module Era_smr.Smr_intf.S with type t = 'g) -> structure -> 'g ->
+  Era_sched.Sched.ctx -> record:bool -> Era_sched.Sched.ctx -> handle
+(** [instantiate (module S) structure g ext] applies [structure]'s functor
+    to [S] once and creates the structure (hash sets: 4 buckets) on
+    scheme state [g] through [ext]. The result makes a handle for the
+    thread behind a context; making one registers that thread with the
+    scheme, so a thread body makes its own. [record] wraps each operation
+    in history events. *)
+
+val fill : handle -> int list -> unit
+(** Insert, push or enqueue each key in order, discarding results. *)
+
+val run_ops :
+  handle -> Era_sim.Rng.t -> ops:int -> keys:Era_workload.Workload.key_dist ->
+  mix:Era_workload.Workload.mix -> unit
+(** The structure's {!Era_workload.Workload} driver; [mix] applies to sets
+    only (stacks and queues run 50/50). *)
+
+val quiesce : handle -> unit
+
+val fresh :
+  ?trace:bool -> threads:int -> Era_sched.Sched.strategy -> Era_sched.Sched.t
+(** A scheduler over a new heap and a new [`Record]-mode monitor
+    ([trace] defaults to [false]); reach them with [Sched.heap] and
+    [Sched.monitor]. *)
+
+val op_log : Era_sim.Monitor.t -> Era_sim.Event.t Era_sim.Vec.t
+(** Subscribe to and collect the monitor's Invoke/Response stream, in
+    order — all the linearizability check reads. *)
+
+val linearizes : structure -> Era_sim.Event.t Era_sim.Vec.t -> bool
+(** Does an {!op_log} linearize against the structure's sequential
+    specification (checker assumes an initially empty structure)? *)
+
+val crashed : Era_sched.Sched.t -> int
+(** Threads that died on an exception. *)
+
+(** {2 Verdicts} *)
+
 type verdict = {
   scheme : string;
   structure : structure;

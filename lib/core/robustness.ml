@@ -29,52 +29,57 @@ let churn_point scheme ~rounds =
     (* Retired backlog at the end of the churn, from the series. *)
     match List.rev r.Figure1.series with (_, v) :: _ -> v | [] -> 0)
 
-(* One size-sweep point: pre-fill keys 1..size, stall a reader holding a
-   pointer to node 1, then have a worker delete and re-insert every key
-   once. The stalled reader pins whatever the scheme's granularity pins. *)
-let size_sweep_point (module S : Era_smr.Smr_intf.S) ~size =
-  let mon = Monitor.create ~mode:`Record ~trace:false () in
-  let heap = Heap.create mon in
-  let module L = Era_sets.Harris_list.Make (S) in
-  let g = S.create heap ~nthreads:2 in
+(* Pre-fill keys 1..size, stall a reader holding a pointer to node 1,
+   then have a worker delete and re-insert every other key once. The
+   stalled reader pins whatever the scheme's granularity pins. *)
+let stalled_reader_run (module S : Era_smr.Smr_intf.S) structure ~size =
   let node1_addr = ref (-1) in
   let reader_at_node1 = function
     | Event.Access { tid = 0; addr; kind = Event.Read; _ } ->
       addr = !node1_addr
     | _ -> false
   in
-  let script =
-    Sched.Script
-      [
-        Sched.Run_until (0, reader_at_node1);
-        Sched.Finish 1;
-        Sched.Finish_bounded (0, (size * 512) + 100_000);
-      ]
+  let sched =
+    Applicability.fresh ~threads:2
+      (Sched.Script
+         [
+           Sched.Run_until (0, reader_at_node1);
+           Sched.Finish 1;
+           Sched.Finish_bounded (0, (size * 512) + 100_000);
+         ])
   in
-  let sched = Sched.create ~nthreads:2 script heap in
+  let heap = Sched.heap sched in
   let ext = Sched.external_ctx sched ~tid:1 in
-  let dl = L.create ext g in
-  let h_setup = L.handle dl ext in
-  for k = 1 to size do
-    ignore (L.insert h_setup k)
-  done;
+  let make =
+    Applicability.instantiate (module S) structure
+      (S.create heap ~nthreads:2) ext
+  in
+  let set_ops ctx =
+    match make ~record:false ctx with
+    | Applicability.Set_ops o -> o
+    | Applicability.Stack_ops _ | Applicability.Queue_ops _ ->
+      invalid_arg "stalled_reader_run: set structures only"
+  in
+  Applicability.fill (make ~record:false ext) (List.init size (fun i -> i + 1));
   (node1_addr :=
      match
        List.find_opt (fun (_, _, key) -> key = 1) (Heap.live_nodes heap)
      with
      | Some (addr, _, _) -> addr
-     | None -> failwith "size_sweep: node 1 missing");
-  Sched.spawn sched ~tid:0 (fun ctx ->
-      let h = L.handle dl ctx in
-      ignore (L.contains h size));
+     | None -> failwith "stalled_reader_run: node 1 missing");
+  Sched.spawn sched ~tid:0 (fun ctx -> ignore ((set_ops ctx).contains size));
   Sched.spawn sched ~tid:1 (fun ctx ->
-      let h = L.handle dl ctx in
+      let ops = set_ops ctx in
       for k = 2 to size do
-        ignore (L.delete h k);
-        ignore (L.insert h k)
+        ignore (ops.delete k);
+        ignore (ops.insert k)
       done);
   ignore (Sched.run sched);
-  Monitor.max_retired mon
+  let mon = Sched.monitor sched in
+  (Monitor.max_retired mon, Monitor.time mon)
+
+let size_sweep_point scheme ~size =
+  fst (stalled_reader_run scheme Applicability.Harris ~size)
 
 let slope points =
   match points, List.rev points with

@@ -46,8 +46,18 @@ val classify_all :
   ?churn_points:int list -> ?size_points:int list -> unit ->
   measurement list
 
+val stalled_reader_run :
+  Era_smr.Registry.scheme -> Applicability.structure -> size:int ->
+  int * int
+(** The stalled-reader run on a set structure: pre-fill keys
+    [1..size], suspend a reader on its first read of node 1 (searching
+    for [size]), let a worker delete and re-insert keys [2..size] once,
+    then solo-resume the reader. Returns the peak retired backlog and
+    the monitor's step count. Raises [Invalid_argument] on a stack or
+    queue. *)
+
 val size_sweep_point : Era_smr.Registry.scheme -> size:int -> int
-(** One size-sweep run; returns the peak retired backlog (exposed for
-    tests). *)
+(** One size-sweep run: the peak backlog of {!stalled_reader_run} on
+    Harris's list (exposed for tests). *)
 
 val pp_measurement : Format.formatter -> measurement -> unit
