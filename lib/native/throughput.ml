@@ -24,14 +24,14 @@ type mix =
 
 module Flight = Era_obs.Flight
 
-let run_workers ?tracer ?flight ?probe ?ops_for ~label ~scheme ~structure
+let run_workers ?flight ?probe ?ops_for ~label ~scheme ~structure
     ~domains ~ops_per_domain ~make_worker ~stats () =
   let ops_of =
     match ops_for with None -> fun _ -> ops_per_domain | Some f -> f
   in
   (* Cross-domain gauge sampler: the coordinator owns the recorder's
-     extra ring and probes every domain's backlog / epoch lag at the
-     tracer stride. A stalled domain never runs its own slow path, so
+     extra ring and probes every domain's backlog / epoch lag at a
+     fixed stride. A stalled domain never runs its own slow path, so
      its lag is only visible from outside — this is where the E9
      timeline's signal comes from. *)
   let sample_flight =
@@ -55,24 +55,15 @@ let run_workers ?tracer ?flight ?probe ?ops_for ~label ~scheme ~structure
      were still being scheduled — undercounted [mops] on slow spawns. *)
   let ready = Atomic.make 0 in
   let go = Atomic.make false in
-  (* Per-domain work-phase boundaries for the tracer. Each slot is
-     written by exactly one domain; [Domain.join] orders the writes
-     before the coordinator reads them. Two clock reads per domain per
-     run — noise against a multi-second run, and the only cost the
-     disabled-tracer path pays beyond one option match. *)
-  let t_start = Array.make domains 0.0 in
-  let t_end = Array.make domains 0.0 in
   let body d () =
     let worker = make_worker d in
     ignore (Atomic.fetch_and_add ready 1);
     while not (Atomic.get go) do
       Domain.cpu_relax ()
     done;
-    t_start.(d) <- Unix.gettimeofday ();
     for _ = 1 to ops_of d do
       worker ()
-    done;
-    t_end.(d) <- Unix.gettimeofday ()
+    done
   in
   let spawned =
     List.init (domains - 1) (fun i -> Domain.spawn (body (i + 1)))
@@ -84,33 +75,20 @@ let run_workers ?tracer ?flight ?probe ?ops_for ~label ~scheme ~structure
   done;
   Atomic.set go true;
   let t0 = Unix.gettimeofday () in
-  t_start.(0) <- t0;
-  let us t = int_of_float ((t -. t0) *. 1e6) in
-  (match tracer, sample_flight with
-  | None, None ->
+  (match sample_flight with
+  | None ->
     for _ = 1 to ops_of 0 do
       worker0 ()
     done
-  | tracer, sample_flight ->
-    (* Only the coordinator touches the tracer and the recorder's
-       coordinator ring (both single-producer); it samples the scheme
-       counters — which are cross-domain-readable by design — at a
-       fixed stride so the trace shows the backlog evolving mid-run. *)
+  | Some sample ->
+    (* Only the coordinator writes the recorder's coordinator ring
+       (single-producer); it samples at a fixed stride so the timeline
+       shows the backlog evolving mid-run. *)
     let stride = max 1 (ops_of 0 / 64) in
     for i = 1 to ops_of 0 do
       worker0 ();
-      if i mod stride = 0 then begin
-        (match tracer with
-        | None -> ()
-        | Some tr ->
-          let s : Nsmr.stats = stats () in
-          Era_obs.Tracer.counter tr ~ts:(us (Unix.gettimeofday ())) "nsmr"
-            [ ("retired", s.Nsmr.retired); ("reclaimed", s.Nsmr.reclaimed);
-              ("backlog", s.Nsmr.backlog) ]);
-        match sample_flight with None -> () | Some f -> f ()
-      end
+      if i mod stride = 0 then sample ()
     done);
-  t_end.(0) <- Unix.gettimeofday ();
   List.iter Domain.join spawned;
   let elapsed = Unix.gettimeofday () -. t0 in
   let total = ref 0 in
@@ -119,17 +97,6 @@ let run_workers ?tracer ?flight ?probe ?ops_for ~label ~scheme ~structure
   done;
   let total = !total in
   let s : Nsmr.stats = stats () in
-  (match tracer with
-  | None -> ()
-  | Some tr ->
-    Era_obs.Tracer.set_process_name tr (Fmt.str "native %s" label);
-    for d = 0 to domains - 1 do
-      Era_obs.Tracer.set_thread_name tr ~tid:d (Printf.sprintf "D%d" d);
-      Era_obs.Tracer.complete tr ~ts:(us t_start.(d))
-        ~dur:(us t_end.(d) - us t_start.(d))
-        ~tid:d ~cat:"native" "work"
-        ~args:[ ("ops", Era_metrics.Json.Int (ops_of d)) ]
-    done);
   {
     label;
     scheme;
@@ -352,26 +319,26 @@ let refuse_unsupported ~who kind scheme =
          who)
   | _ -> ()
 
-let list_row ?tracer ?flight ~who ~label kind ~scheme ~workload ~domains
+let list_row ?flight ~who ~label kind ~scheme ~workload ~domains
     ~ops_per_domain =
   refuse_unsupported ~who kind scheme;
   let (module S) = scheme_module scheme in
   let make_worker, stats, probe =
     build_list (module S) ?flight kind ~workload ~domains
   in
-  run_workers ?tracer ?flight ~probe ~label ~scheme:(scheme_name scheme)
+  run_workers ?flight ~probe ~label ~scheme:(scheme_name scheme)
     ~structure:(structure_name kind) ~domains ~ops_per_domain ~make_worker
     ~stats ()
 
-let e8_row ?tracer ?flight kind ~scheme mix ~domains ~ops_per_domain =
-  list_row ?tracer ?flight ~who:"e8_row"
+let e8_row ?flight kind ~scheme mix ~domains ~ops_per_domain =
+  list_row ?flight ~who:"e8_row"
     ~label:
       (Fmt.str "%s+%s/%s" (kind_name kind) (scheme_name scheme)
          (mix_name mix))
     kind ~scheme ~workload:(workload_of_mix mix) ~domains ~ops_per_domain
 
-let e16_row ?tracer ?flight kind ~scheme ~workload ~domains ~ops_per_domain =
-  list_row ?tracer ?flight ~who:"e16_row"
+let e16_row ?flight kind ~scheme ~workload ~domains ~ops_per_domain =
+  list_row ?flight ~who:"e16_row"
     ~label:
       (Fmt.str "%s+%s/%s" (kind_name kind) (scheme_name scheme)
          workload.wl_label)
@@ -459,7 +426,7 @@ let e9_row ?(workload = uniform_churn) ?(flight = Flight.null)
     ()
 
 (* Stack and queue throughput rows: 50/50 producer/consumer mixes. *)
-let stack_row ?tracer ~(scheme : [ `Ebr | `Hp | `Ibr | `None ]) ~domains
+let stack_row ~(scheme : [ `Ebr | `Hp | `Ibr | `None ]) ~domains
     ~ops_per_domain () =
   (* The narrow type is the refusal: no neutralization restarts are
      wired into the stack (pop reads the popped key after its CAS). *)
@@ -477,14 +444,14 @@ let stack_row ?tracer ~(scheme : [ `Ebr | `Hp | `Ibr | `None ]) ~domains
       if Rng.bool rng then T.push st s (Rng.int rng 1000)
       else ignore (T.pop st s)
   in
-  run_workers ?tracer
+  run_workers
     ~label:(Fmt.str "treiber+%s" sname)
     ~scheme:sname ~structure:"treiber-stack" ~domains
     ~ops_per_domain ~make_worker
     ~stats:(fun () -> S.stats g)
     ()
 
-let queue_row ?tracer ~(scheme : [ `Ebr | `Hp | `Ibr | `None ]) ~domains
+let queue_row ~(scheme : [ `Ebr | `Hp | `Ibr | `None ]) ~domains
     ~ops_per_domain () =
   let sname = scheme_name (scheme :> [ `Debra | `Ebr | `Hp | `Ibr | `None ]) in
   let (module S) =
@@ -500,7 +467,7 @@ let queue_row ?tracer ~(scheme : [ `Ebr | `Hp | `Ibr | `None ]) ~domains
       if Rng.bool rng then Q.enqueue q s (Rng.int rng 1000)
       else ignore (Q.dequeue q s)
   in
-  run_workers ?tracer
+  run_workers
     ~label:(Fmt.str "msqueue+%s" sname)
     ~scheme:sname ~structure:"ms-queue" ~domains
     ~ops_per_domain ~make_worker

@@ -28,7 +28,6 @@ type result = {
 }
 
 val run_workers :
-  ?tracer:Era_obs.Tracer.t ->
   ?flight:Era_obs.Flight.t ->
   ?probe:(int -> int * int) ->
   ?ops_for:(int -> int) ->
@@ -47,18 +46,11 @@ val run_workers :
     [ops_per_domain]); [total_ops] is the computed sum, so asymmetric
     rows (e.g. a one-shot stalled domain) report honest totals.
 
-    [tracer] adds a wall-clock timeline (timestamps in microseconds
-    since the barrier release): one ["work"] span per domain plus a
-    periodically sampled ["nsmr"] counter series (retired / reclaimed /
-    backlog). The tracer is single-domain, so only the coordinator
-    writes to it; spawned domains just record their span boundaries.
-    With [tracer] absent the run is byte-identical to before: one
-    option match outside the hot loop and two clock reads per domain.
-
     [flight] + [probe] add the flight recorder's cross-domain gauge
-    samples: at the tracer stride the coordinator calls [probe d] for
-    every domain — returning [(backlog, epoch_lag)] — and records both
-    into the recorder's coordinator ring. With [flight] absent (or
+    samples: after every 1/64th of its own ops the coordinator (domain
+    0) calls [probe d] for every domain — returning
+    [(backlog, epoch_lag)] — and records both into the recorder's
+    coordinator ring. With [flight] absent (or
     {!Era_obs.Flight.null}) the sampling closure is never built and the
     detached run stays on the zero-instrumentation path. *)
 
@@ -109,7 +101,6 @@ val contains_pct_of_mix : string -> (int, string) Stdlib.result
     50, or a literal percentage ["0"]–["100"]. *)
 
 val e8_row :
-  ?tracer:Era_obs.Tracer.t ->
   ?flight:Era_obs.Flight.t ->
   list_kind -> scheme:[ `Debra | `Ebr | `Hp | `Ibr | `None ] -> mix ->
   domains:int -> ops_per_domain:int -> result
@@ -120,7 +111,6 @@ val e8_row :
     neutralization wrapper is only wired into the Michael list. *)
 
 val e16_row :
-  ?tracer:Era_obs.Tracer.t ->
   ?flight:Era_obs.Flight.t ->
   list_kind -> scheme:[ `Debra | `Ebr | `Hp | `Ibr | `None ] ->
   workload:workload -> domains:int -> ops_per_domain:int -> result
@@ -147,7 +137,6 @@ val e9_row :
     the sim's Figure 1 survival. *)
 
 val stack_row :
-  ?tracer:Era_obs.Tracer.t ->
   scheme:[ `Ebr | `Hp | `Ibr | `None ] -> domains:int ->
   ops_per_domain:int -> unit -> result
 (** Treiber stack, 50/50 push/pop. The scheme type excludes [`Debra]:
@@ -155,7 +144,6 @@ val stack_row :
     not whole-operation restartable — the refusal is the type. *)
 
 val queue_row :
-  ?tracer:Era_obs.Tracer.t ->
   scheme:[ `Ebr | `Hp | `Ibr | `None ] -> domains:int ->
   ops_per_domain:int -> unit -> result
 (** Michael–Scott queue, 50/50 enqueue/dequeue. [`Debra] excluded as in

@@ -354,42 +354,6 @@ let test_trace_does_not_perturb () =
   Alcotest.(check string) "same violation either way" untraced traced
 
 (* ------------------------------------------------------------------ *)
-(* Native tracing                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The native harness records one wall-clock work span per domain (after
-   the join — the tracer is single-domain) and coordinator-sampled
-   "nsmr" counter series. *)
-let test_native_trace () =
-  let tr = Tracer.create () in
-  let r =
-    Era_native.Throughput.stack_row ~tracer:tr ~scheme:`Ebr ~domains:2
-      ~ops_per_domain:5_000 ()
-  in
-  Alcotest.(check bool) "ops ran" true (r.Era_native.Throughput.total_ops > 0);
-  let evs = trace_events (Tracer.to_json tr) in
-  let work_spans =
-    List.filter
-      (fun e ->
-        ph e = Some "X" && str_field "cat" e = Some "native"
-        && str_field "name" e = Some "work")
-      evs
-  in
-  Alcotest.(check int) "one work span per domain" 2 (List.length work_spans);
-  List.iter
-    (fun e ->
-      match int_field "dur" e with
-      | Some d -> Alcotest.(check bool) "span has duration" true (d >= 0)
-      | None -> Alcotest.fail "work span missing dur")
-    work_spans;
-  let counters =
-    List.filter
-      (fun e -> ph e = Some "C" && str_field "name" e = Some "nsmr")
-      evs
-  in
-  Alcotest.(check bool) "coordinator sampled counters" true (counters <> [])
-
-(* ------------------------------------------------------------------ *)
 (* Flight recorder                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -611,8 +575,6 @@ let () =
           Alcotest.test_case "tracing does not perturb" `Quick
             test_trace_does_not_perturb;
         ] );
-      ( "native",
-        [ Alcotest.test_case "work spans and counters" `Quick test_native_trace ] );
       ( "telemetry",
         [
           Alcotest.test_case "parallel heartbeat totals" `Quick
