@@ -108,9 +108,6 @@ let classify ?(churn_points = default_churn) ?(size_points = default_sizes)
   { scheme = S.name; churn_series; size_series; churn_slope; size_slope;
     clazz }
 
-let classify_all ?churn_points ?size_points () =
-  List.map (classify ?churn_points ?size_points) Era_smr.Registry.all
-
 let pp_measurement fmt m =
   Fmt.pf fmt "%-6s %-14s | churn slope %.3f %a | size slope %.3f %a" m.scheme
     (clazz_name m.clazz) m.churn_slope

@@ -42,10 +42,6 @@ val classify :
   Era_smr.Registry.scheme -> measurement
 (** Defaults: churn 128/256/512/1024 rounds; sizes 32/64/128/256. *)
 
-val classify_all :
-  ?churn_points:int list -> ?size_points:int list -> unit ->
-  measurement list
-
 val stalled_reader_run :
   Era_smr.Registry.scheme -> Applicability.structure -> size:int ->
   int * int

@@ -66,8 +66,6 @@ let value c = !c
 
 let set g v = g := v
 let set_int g n = g := float_of_int n
-let gauge_value g = !g
-
 let bucket_of v =
   if v <= 0 then 0
   else

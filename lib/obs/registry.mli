@@ -45,7 +45,6 @@ val value : counter -> int
 
 val set : gauge -> float -> unit
 val set_int : gauge -> int -> unit
-val gauge_value : gauge -> float
 
 val observe : histogram -> int -> unit
 

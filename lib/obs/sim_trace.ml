@@ -90,5 +90,3 @@ let attach_sched ?(names = []) tr sched =
     (Some
        (fun tid t0 t1 ->
          Tracer.complete tr ~ts:t0 ~dur:(t1 - t0) ~tid ~cat:"sched" "quantum"))
-
-let detach_sched sched = Sched.set_quantum_hook sched None

@@ -33,5 +33,3 @@ val attach_sched : ?names:(int * string) list -> Tracer.t -> Era_sched.Sched.t -
     [names] overrides individual tids). See
     {!Era_sched.Sched.set_quantum_hook} for the determinism and
     disabled-cost contract. *)
-
-val detach_sched : Era_sched.Sched.t -> unit

@@ -153,7 +153,6 @@ let live t tid =
   | Not_spawned_s | Finished_s | Crashed_s _ -> false
 
 let runnable t tid = live t tid && not t.stalled.(tid)
-let is_runnable = runnable
 let runnable_count t = t.runnable_count
 let current_tid t = t.current
 
@@ -190,8 +189,6 @@ let unstall t tid =
     if live t tid then t.runnable_count <- t.runnable_count + 1;
     Monitor.emit t.mon (Event.Resumed { tid })
   end
-
-let is_stalled t tid = t.stalled.(tid)
 
 let next_opid t =
   t.opid <- t.opid + 1;

@@ -129,9 +129,6 @@ val switches : t -> int
     enumerate the scheduling choices available at the current
     configuration. None of them affect the schedule. *)
 
-val is_runnable : t -> int -> bool
-(** Live and not stalled: a legal pick for the next quantum. *)
-
 val runnable_count : t -> int
 
 val runnable_tids : t -> int list
@@ -156,7 +153,6 @@ val stall : t -> int -> unit
     absolute authority over who runs). *)
 
 val unstall : t -> int -> unit
-val is_stalled : t -> int -> bool
 
 val yield : ctx -> unit
 (** End the current quantum and decide the next one. Called by {!Mem}

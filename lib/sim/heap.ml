@@ -397,8 +397,6 @@ let aux_cas t ~tid ~via ~field ~expected ~desired =
 (* ------------------------------------------------------------------ *)
 
 let cell_state t ~addr = (cell_of_addr t addr).state
-let node_at t ~addr = (cell_of_addr t addr).node
-let key_of_cell t ~addr = (cell_of_addr t addr).key
 
 let collect t p =
   Vec.fold_left

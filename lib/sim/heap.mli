@@ -147,8 +147,6 @@ val is_entry : t -> addr:int -> bool
 (** Was this cell allocated as a sentinel/entry point? *)
 
 val cell_state : t -> addr:int -> Lifecycle.t
-val node_at : t -> addr:int -> int
-val key_of_cell : t -> addr:int -> int
 val live_nodes : t -> (int * int * int) list
 (** [(addr, node, key)] of all active (local or shared) nodes. *)
 

@@ -143,9 +143,4 @@ let first_violation t = if Vec.length t.viols = 0 then None else Some (Vec.get t
 let violation_count t = Vec.length t.viols
 let samples t = Vec.to_list t.samps
 let trace t = Vec.to_list t.events
-let trace_vec t = t.events
 let find_last t p = Vec.find_last p t.events
-
-let pp_violations fmt t =
-  if Vec.length t.viols = 0 then Fmt.string fmt "(no violations)"
-  else Vec.iter (fun ev -> Fmt.pf fmt "%a@." Event.pp ev) t.viols

@@ -97,8 +97,4 @@ val samples : t -> sample list
 val trace : t -> Event.t list
 (** Full trace, oldest first; [[]] if tracing was disabled. *)
 
-val trace_vec : t -> Event.t Vec.t
-
 val find_last : t -> (Event.t -> bool) -> Event.t option
-
-val pp_violations : Format.formatter -> t -> unit

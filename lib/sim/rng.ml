@@ -2,7 +2,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
 
 (* splitmix64: fast, well-distributed, and trivially seedable. *)
 let next t =

@@ -10,9 +10,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator. Equal seeds give equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy continuing from the same internal state. *)
-
 val next : t -> int64
 (** Next raw 64-bit value. *)
 

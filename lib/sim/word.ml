@@ -14,7 +14,6 @@ let null = Null
 let int v = Int v
 let ptr ~addr ~node = Ptr { addr; node; marked = false; stale = false }
 
-let is_null = function Null -> true | Int _ | Ptr _ -> false
 let is_ptr = function Ptr _ -> true | Null | Int _ -> false
 let is_marked = function Ptr p -> p.marked | Null | Int _ -> false
 

@@ -36,7 +36,6 @@ val null : t
 val int : int -> t
 val ptr : addr:int -> node:int -> t
 
-val is_null : t -> bool
 val is_ptr : t -> bool
 val is_marked : t -> bool
 (** [is_marked w] is [true] iff [w] is a pointer with the mark bit set.

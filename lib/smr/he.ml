@@ -60,8 +60,6 @@ let create _heap ~nthreads =
 
 let thread g ctx = { g; ctx; rot = 0 }
 let global t = t.g
-let current_era g = g.era
-
 let published_eras g =
   Array.to_list g.slots
   |> List.concat_map Array.to_list

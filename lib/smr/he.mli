@@ -18,7 +18,6 @@ include Smr_intf.S
 val slots_per_thread : int
 val allocs_per_era : int
 val scan_threshold : int
-val current_era : t -> int
 val published_eras : t -> int list
 val retired_backlog : t -> int
 

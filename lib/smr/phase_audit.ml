@@ -61,8 +61,6 @@ let discipline_violations g =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) g.counts []
   |> List.sort compare
 
-let total_violations g = Hashtbl.fold (fun _ v acc -> acc + v) g.counts 0
-
 let is_entry t w =
   match w with
   | Word.Ptr p -> Heap.is_entry t.g.heap ~addr:p.addr

@@ -24,4 +24,3 @@ include Smr_intf.S
 val discipline_violations : t -> (string * int) list
 (** [(description, count)] of distinct discipline violations observed. *)
 
-val total_violations : t -> int

@@ -45,9 +45,6 @@ let global t = t.g
 
 let count g node = Option.value (Hashtbl.find_opt g.counts node) ~default:0
 
-let count_of g w =
-  match w with Word.Ptr p -> count g p.node | Word.Null | Word.Int _ -> 0
-
 let pinned g = Hashtbl.length g.retired
 
 let incr_node g node = Hashtbl.replace g.counts node (count g node + 1)

@@ -21,8 +21,5 @@
 
 include Smr_intf.S
 
-val count_of : t -> Era_sim.Word.t -> int
-(** Current reference count of a node (tests). *)
-
 val pinned : t -> int
 (** Retired-but-counted nodes currently pinned (tests). *)

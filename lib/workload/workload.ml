@@ -6,7 +6,6 @@ type mix = {
 }
 
 let update_heavy = { insert_pct = 50; delete_pct = 50 }
-let read_mostly = { insert_pct = 10; delete_pct = 10 }
 let balanced = { insert_pct = 25; delete_pct = 25 }
 
 type key_dist =

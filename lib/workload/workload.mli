@@ -10,9 +10,6 @@ type mix = {
 val update_heavy : mix
 (** 50/50 insert/delete: the churn mixes of the paper's constructions. *)
 
-val read_mostly : mix
-(** 10% insert, 10% delete, 80% contains. *)
-
 val balanced : mix
 (** 25/25/50. *)
 
