@@ -64,6 +64,7 @@ let test_ibr_granularity_no_escape () =
 
 let () =
   Alcotest.run "era_ablation"
+  @@ Shuffle.maybe_shuffle
     [
       ( "hp",
         [

@@ -365,6 +365,7 @@ let test_theorem () =
 
 let () =
   Alcotest.run "era_core"
+  @@ Shuffle.maybe_shuffle
     [
       ( "figure1",
         [
