@@ -30,7 +30,7 @@ let churn_point scheme ~rounds =
     match List.rev r.Figure1.series with (_, v) :: _ -> v | [] -> 0)
 
 (* Pre-fill keys 1..size, stall a reader holding a pointer to node 1,
-   then have a worker delete and re-insert every other key once. The
+   then have a worker delete and re-insert every key but 1 once. The
    stalled reader pins whatever the scheme's granularity pins. *)
 let stalled_reader_run (module S : Era_smr.Smr_intf.S) structure ~size =
   let node1_addr = ref (-1) in
