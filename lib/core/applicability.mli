@@ -37,7 +37,9 @@ val structure_of_name : string -> structure option
 
     The one way a simulated (scheme × structure) cell is built, shared by
     the fuzzers below, the explorer targets, the access-aware audit
-    ({!Access_aware}) and the stalled-reader runs ({!Robustness}). *)
+    ({!Access_aware}) and the stalled-reader runs ({!Robustness}). The
+    op log, linearizability and crash checks the fuzzers and explorer
+    targets share stay inside this module. *)
 
 type handle =
   | Set_ops of Era_sets.Set_intf.ops
@@ -64,24 +66,11 @@ val run_ops :
 (** The structure's {!Era_workload.Workload} driver; [mix] applies to sets
     only (stacks and queues run 50/50). *)
 
-val quiesce : handle -> unit
-
 val fresh :
   ?trace:bool -> threads:int -> Era_sched.Sched.strategy -> Era_sched.Sched.t
 (** A scheduler over a new heap and a new [`Record]-mode monitor
     ([trace] defaults to [false]); reach them with [Sched.heap] and
     [Sched.monitor]. *)
-
-val op_log : Era_sim.Monitor.t -> Era_sim.Event.t Era_sim.Vec.t
-(** Subscribe to and collect the monitor's Invoke/Response stream, in
-    order — all the linearizability check reads. *)
-
-val linearizes : structure -> Era_sim.Event.t Era_sim.Vec.t -> bool
-(** Does an {!op_log} linearize against the structure's sequential
-    specification (checker assumes an initially empty structure)? *)
-
-val crashed : Era_sched.Sched.t -> int
-(** Threads that died on an exception. *)
 
 (** {2 Verdicts} *)
 
