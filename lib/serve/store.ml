@@ -1,6 +1,7 @@
-(* Content-addressed store: objects/<md5-hex> + manifest.json. MD5 is
-   content-addressing here, not integrity against an adversary — it is
-   in the stdlib and 32 hex chars keep keys short on the wire. *)
+(* Content-addressed store: objects/<md5-hex> + an append-only
+   manifest.jsonl, one entry per line. MD5 is content-addressing here,
+   not integrity against an adversary — it is in the stdlib and 32 hex
+   chars keep keys short on the wire. *)
 
 module J = Era_metrics.Json
 module Fs = Era_metrics.Fsutil
@@ -17,12 +18,13 @@ type entry = {
 type t = {
   dir : string;
   m : Mutex.t;
+  log : out_channel;  (* manifest.jsonl, opened for append *)
+  seen : (string * string * int * string, unit) Hashtbl.t;
   mutable items : entry list;  (* newest first; exported oldest first *)
 }
 
-let manifest_path t = Filename.concat t.dir "manifest.json"
-let dir t = t.dir
 let object_path t key = Filename.concat (Filename.concat t.dir "objects") key
+let ident e = (e.key, e.akind, e.job_id, e.label)
 
 let entry_to_json e =
   J.Obj
@@ -52,62 +54,60 @@ let entry_of_json j =
       }
   | _ -> None
 
-let load_manifest path =
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Entries of the complete lines, oldest first. Bytes after the last
+   newline are a torn append: cut them so the next append starts on a
+   fresh line. *)
+let replay path =
   if not (Sys.file_exists path) then []
   else
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    match J.of_string s with
-    | Error _ -> []
-    | Ok j -> (
-      match Option.bind (J.member "entries" j) J.to_list with
-      | None -> []
-      | Some l -> List.rev (List.filter_map entry_of_json l))
+    let s = read_file path in
+    let complete =
+      match String.rindex_opt s '\n' with None -> 0 | Some i -> i + 1
+    in
+    if complete < String.length s then Unix.truncate path complete;
+    String.split_on_char '\n' (String.sub s 0 complete)
+    |> List.filter_map (fun line ->
+           match J.of_string line with
+           | Ok j -> entry_of_json j
+           | Error _ -> None)
 
 let open_ ~dir =
   Fs.mkdir_p (Filename.concat dir "objects");
-  let t = { dir; m = Mutex.create (); items = [] } in
-  t.items <- load_manifest (manifest_path t);
+  let path = Filename.concat dir "manifest.jsonl" in
+  let old = replay path in
+  let log = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
+  let seen = Hashtbl.create 256 in
+  let t = { dir; m = Mutex.create (); log; seen; items = [] } in
+  List.iter
+    (fun e ->
+      if not (Hashtbl.mem t.seen (ident e)) then begin
+        Hashtbl.replace t.seen (ident e) ();
+        t.items <- e :: t.items
+      end)
+    old;
   t
-
-let manifest_json_locked t =
-  J.Obj
-    [
-      ("schema_version", J.Int 1);
-      ("entries", J.List (List.rev_map entry_to_json t.items));
-    ]
-
-let write_manifest_locked t =
-  Fs.write_file ~file:(manifest_path t) (J.to_string (manifest_json_locked t))
 
 let put t ~akind ?(job_id = -1) ?(label = "") content =
   let key = Digest.to_hex (Digest.string content) in
-  Mutex.lock t.m;
-  let dup =
-    List.exists
-      (fun e ->
-        e.key = key && e.akind = akind && e.job_id = job_id
-        && e.label = label)
-      t.items
-  in
-  if not dup then begin
-    let path = object_path t key in
-    if not (Sys.file_exists path) then Fs.write_file ~file:path content;
-    t.items <-
-      {
-        key;
-        akind;
-        job_id;
-        label;
-        size = String.length content;
-        created_s = Unix.gettimeofday ();
-      }
-      :: t.items;
-    write_manifest_locked t
-  end;
-  Mutex.unlock t.m;
+  Mutex.protect t.m (fun () ->
+      if not (Hashtbl.mem t.seen (key, akind, job_id, label)) then begin
+        let path = object_path t key in
+        if not (Sys.file_exists path) then Fs.write_file ~file:path content;
+        let e =
+          {
+            key; akind; job_id; label;
+            size = String.length content;
+            created_s = Unix.gettimeofday ();
+          }
+        in
+        output_string t.log (J.to_string ~minify:true (entry_to_json e));
+        output_char t.log '\n';
+        flush t.log;
+        Hashtbl.replace t.seen (ident e) ();
+        t.items <- e :: t.items
+      end);
   key
 
 let get t key =
@@ -118,23 +118,10 @@ let get t key =
          (function 'a' .. 'f' | '0' .. '9' -> true | _ -> false)
          key
   in
-  if not safe then None
-  else
-    let path = object_path t key in
-    if not (Sys.file_exists path) then None
-    else begin
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      Some s
-    end
+  let path = object_path t key in
+  if safe && Sys.file_exists path then Some (read_file path) else None
 
-let entries t =
-  Mutex.lock t.m;
-  let r = List.rev t.items in
-  Mutex.unlock t.m;
-  r
+let entries t = Mutex.protect t.m (fun () -> List.rev t.items)
 
 let find ?akind t ~job_id =
   entries t
@@ -143,7 +130,9 @@ let find ?akind t ~job_id =
          && match akind with None -> true | Some k -> e.akind = k)
 
 let manifest_to_json t =
-  Mutex.lock t.m;
-  let r = manifest_json_locked t in
-  Mutex.unlock t.m;
-  r
+  let items = Mutex.protect t.m (fun () -> t.items) in
+  J.Obj
+    [
+      ("schema_version", J.Int 1);
+      ("entries", J.List (List.rev_map entry_to_json items));
+    ]

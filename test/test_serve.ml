@@ -261,6 +261,127 @@ let test_store_roundtrip_dedup () =
       Alcotest.(check (option string)) "objects survive reopen"
         (Some "payload") (Store.get s' k1))
 
+let in_temp_dir prefix k =
+  let dir = temp_dir prefix in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> k dir)
+
+let manifest_log dir = Filename.concat dir "manifest.jsonl"
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let log_lines dir =
+  String.split_on_char '\n' (read_file (manifest_log dir))
+  |> List.filter (( <> ) "")
+
+let job_ids s = List.map (fun e -> e.Store.job_id) (Store.entries s)
+
+let test_store_torn_tail () =
+  in_temp_dir "era_store" (fun dir ->
+      let s = Store.open_ ~dir in
+      ignore (Store.put s ~akind:"verdict" ~job_id:1 "one");
+      ignore (Store.put s ~akind:"verdict" ~job_id:2 "two");
+      let whole = read_file (manifest_log dir) in
+      (* a crash mid-append: half of a real line, no newline *)
+      let line = List.hd (log_lines dir) in
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644
+        (manifest_log dir) (fun oc ->
+          output_string oc (String.sub line 0 (String.length line / 2)));
+      let s = Store.open_ ~dir in
+      Alcotest.(check (list int)) "only the complete entries" [ 1; 2 ]
+        (job_ids s);
+      Alcotest.(check string) "torn tail cut from the file" whole
+        (read_file (manifest_log dir));
+      ignore (Store.put s ~akind:"verdict" ~job_id:3 "three");
+      let s = Store.open_ ~dir in
+      Alcotest.(check (list int)) "the next put survives reopen" [ 1; 2; 3 ]
+        (job_ids s);
+      List.iter
+        (fun l ->
+          match Json.of_string l with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "corrupt manifest line %S: %s" l e)
+        (log_lines dir);
+      Alcotest.(check int) "one line per entry" 3
+        (List.length (log_lines dir)))
+
+let test_store_dedup_across_reopen () =
+  in_temp_dir "era_store" (fun dir ->
+      let put s label =
+        ignore (Store.put s ~akind:"verdict" ~job_id:7 ~label "same")
+      in
+      put (Store.open_ ~dir) "a";
+      let s = Store.open_ ~dir in
+      put s "a";
+      Alcotest.(check int) "identical entry not added again" 1
+        (List.length (Store.entries s));
+      Alcotest.(check int) "nor appended to the log" 1
+        (List.length (log_lines dir));
+      put s "b";
+      Alcotest.(check int) "a different label is a new entry" 2
+        (List.length (Store.entries (Store.open_ ~dir))))
+
+let test_store_append_only () =
+  in_temp_dir "era_store" (fun dir ->
+      let s = Store.open_ ~dir in
+      let before = ref (read_file (manifest_log dir)) in
+      List.iteri
+        (fun i (job_id, content) ->
+          ignore (Store.put s ~akind:"verdict" ~job_id content);
+          let now = read_file (manifest_log dir) in
+          let n = String.length !before in
+          Alcotest.(check bool)
+            (Printf.sprintf "put %d keeps the earlier bytes" i)
+            true
+            (String.length now > n && String.sub now 0 n = !before);
+          let added = String.sub now n (String.length now - n) in
+          Alcotest.(check int)
+            (Printf.sprintf "put %d adds one line" i)
+            1
+            (List.length (String.split_on_char '\n' added) - 1);
+          Alcotest.(check bool)
+            (Printf.sprintf "put %d ends its line" i)
+            true (String.ends_with ~suffix:"\n" added);
+          before := now)
+        [ (1, "x"); (2, "x"); (1, "y"); (3, String.make 5000 'z') ];
+      ignore (Store.put s ~akind:"verdict" ~job_id:1 "x");
+      Alcotest.(check string) "a duplicate put leaves the log alone" !before
+        (read_file (manifest_log dir)))
+
+(* A put whose object write raises must release the store lock: a later
+   put, from another domain, has to get through. *)
+let test_store_failed_put_unlocks () =
+  in_temp_dir "era_store" (fun dir ->
+      let s = Store.open_ ~dir in
+      let objects = Filename.concat dir "objects" in
+      (* a regular file where the directory was: unwritable even as root *)
+      rm_rf objects;
+      Out_channel.with_open_bin objects ignore;
+      (match Store.put s ~akind:"verdict" ~job_id:1 "lost" with
+      | _ -> Alcotest.fail "a put into an unwritable store must raise"
+      | exception Sys_error _ -> ());
+      Sys.remove objects;
+      Unix.mkdir objects 0o755;
+      let res = Atomic.make None in
+      let d =
+        Domain.spawn (fun () ->
+            Atomic.set res
+              (Some
+                 (try Ok (Store.put s ~akind:"verdict" ~job_id:2 "kept")
+                  with e -> Error (Printexc.to_string e))))
+      in
+      let deadline = Unix.gettimeofday () +. 10. in
+      while Atomic.get res = None && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.002
+      done;
+      match Atomic.get res with
+      | None -> Alcotest.fail "put blocked: the failed put kept the store lock"
+      | Some (Error e) -> Alcotest.failf "put after a failed put raised %s" e
+      | Some (Ok key) ->
+        Domain.join d;
+        Alcotest.(check (option string)) "object written" (Some "kept")
+          (Store.get s key);
+        Alcotest.(check (list int)) "only the successful put recorded" [ 2 ]
+          (job_ids s))
+
 (* ------------------------------------------------------------------ *)
 (* Job codec                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -761,6 +882,13 @@ let () =
         [
           Alcotest.test_case "round-trip, dedup, reopen" `Quick
             test_store_roundtrip_dedup;
+          Alcotest.test_case "torn tail dropped on reopen" `Quick
+            test_store_torn_tail;
+          Alcotest.test_case "dedup across reopen" `Quick
+            test_store_dedup_across_reopen;
+          Alcotest.test_case "append only" `Quick test_store_append_only;
+          Alcotest.test_case "failed put releases the lock" `Quick
+            test_store_failed_put_unlocks;
         ] );
       ( "job",
         [ Alcotest.test_case "kind codec" `Quick test_job_kind_roundtrip ] );
