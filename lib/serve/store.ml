@@ -24,7 +24,6 @@ type t = {
 }
 
 let object_path t key = Filename.concat (Filename.concat t.dir "objects") key
-let ident e = (e.key, e.akind, e.job_id, e.label)
 
 let entry_to_json e =
   J.Obj
@@ -76,23 +75,26 @@ let replay path =
 let open_ ~dir =
   Fs.mkdir_p (Filename.concat dir "objects");
   let path = Filename.concat dir "manifest.jsonl" in
-  let old = replay path in
-  let log = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
   let seen = Hashtbl.create 256 in
-  let t = { dir; m = Mutex.create (); log; seen; items = [] } in
-  List.iter
-    (fun e ->
-      if not (Hashtbl.mem t.seen (ident e)) then begin
-        Hashtbl.replace t.seen (ident e) ();
-        t.items <- e :: t.items
-      end)
-    old;
-  t
+  let items =
+    List.fold_left
+      (fun items e ->
+        let id = (e.key, e.akind, e.job_id, e.label) in
+        if Hashtbl.mem seen id then items
+        else begin
+          Hashtbl.replace seen id ();
+          e :: items
+        end)
+      [] (replay path)
+  in
+  let log = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
+  { dir; m = Mutex.create (); log; seen; items }
 
 let put t ~akind ?(job_id = -1) ?(label = "") content =
   let key = Digest.to_hex (Digest.string content) in
+  let id = (key, akind, job_id, label) in
   Mutex.protect t.m (fun () ->
-      if not (Hashtbl.mem t.seen (key, akind, job_id, label)) then begin
+      if not (Hashtbl.mem t.seen id) then begin
         let path = object_path t key in
         if not (Sys.file_exists path) then Fs.write_file ~file:path content;
         let e =
@@ -105,7 +107,7 @@ let put t ~akind ?(job_id = -1) ?(label = "") content =
         output_string t.log (J.to_string ~minify:true (entry_to_json e));
         output_char t.log '\n';
         flush t.log;
-        Hashtbl.replace t.seen (ident e) ();
+        Hashtbl.replace t.seen id ();
         t.items <- e :: t.items
       end);
   key
