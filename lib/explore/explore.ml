@@ -78,7 +78,7 @@ let default_config =
     max_runs = 20_000;
     max_steps = 50_000;
     shrink = true;
-    shrink_budget = 500;
+    shrink_budget = 50;
     domains = 1;
     dpor = false;
     fault_hook = None;
@@ -622,72 +622,7 @@ let replay ?trace ?on_sched target cex =
   run_steps ?trace ?on_sched target cex.c_steps
 
 (* ------------------------------------------------------------------ *)
-(* Shrinking: ddmin over the quantum-by-quantum schedule              *)
-(* ------------------------------------------------------------------ *)
-
-let split_chunks lst n =
-  let len = List.length lst in
-  let base = len / n and rem = len mod n in
-  let rec go i acc lst =
-    if i >= n then List.rev acc
-    else begin
-      let size = base + (if i < rem then 1 else 0) in
-      let chunk, rest =
-        let rec take k acc = function
-          | rest when k = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | x :: tl -> take (k - 1) (x :: acc) tl
-        in
-        take size [] lst
-      in
-      go (i + 1) (chunk :: acc) rest
-    end
-  in
-  go 0 [] lst
-
-(* Zeller-Hildebrandt ddmin. [test] must hold on [lst]; the result is a
-   sublist on which [test] still holds and that is 1-minimal up to the
-   test budget (a budget-exhausted test reports [false], which only stops
-   further reduction). *)
-let ddmin test lst =
-  let rec go lst n =
-    let len = List.length lst in
-    if len <= 1 || n > len then lst
-    else begin
-      let chunks = split_chunks lst n in
-      match List.find_opt test chunks with
-      | Some c -> go c 2
-      | None -> (
-        let complements =
-          List.mapi
-            (fun i _ ->
-              List.concat
-                (List.filteri (fun j _ -> j <> i) chunks))
-            chunks
-        in
-        match if n = 2 then None else List.find_opt test complements with
-        | Some c -> go c (max (n - 1) 2)
-        | None -> if n < len then go lst (min len (2 * n)) else lst)
-    end
-  in
-  go lst 2
-
-let shrink_steps target ~budget ~kind steps0 =
-  let tests = ref 0 in
-  let check steps =
-    !tests < budget
-    && begin
-         incr tests;
-         match (run_steps target steps).rp_violation with
-         | Some v -> v.v_kind = kind
-         | None -> false
-       end
-  in
-  let shrunk = ddmin check steps0 in
-  (shrunk, !tests)
-
-(* ------------------------------------------------------------------ *)
-(* Search bookkeeping                                                 *)
+(* Shrinking: over the script's Run (tid, n) instructions             *)
 (* ------------------------------------------------------------------ *)
 
 let rec list_take n = function
@@ -695,24 +630,107 @@ let rec list_take n = function
   | _ when n <= 0 -> []
   | x :: tl -> x :: list_take (n - 1) tl
 
+exception Shrink_budget
+
+let without a i =
+  List.filteri (fun j _ -> j <> i) (Array.to_list a)
+
+let with_length a i k =
+  List.mapi
+    (fun j instr ->
+      match instr with
+      | Sched.Run (tid, _) when j = i -> Sched.Run (tid, k)
+      | _ -> instr)
+    (Array.to_list a)
+
+let run_length a i = match a.(i) with Sched.Run (_, n) -> n | _ -> 0
+
+(* Shrink a violating schedule over its compressed script. The search
+   finds a violation at the lowest preemption bound, so the witness is
+   a handful of [Run (tid, n)] instructions and what shrinks is their
+   lengths, not which quanta run. A candidate script is accepted only
+   if it reproduces [v0]'s kind on a strictly shorter schedule. The
+   schedule kept is the quanta the candidate actually ran (a [Run] of a
+   thread that finishes runs fewer than [n]), cut at its violating
+   quantum, so it replays to the same violation at the same step.
+
+   Pass 1 drops whole instructions until a full pass drops none. Pass 2
+   shortens each instruction: it probes lengths 1, 2, 4, ... upward and
+   then bisects between the longest length known to fail and the
+   current one. The upward probe is there because the test is not
+   monotone in a length: a Figure 1 witness needs thread 0 stalled
+   inside an operation, so a short run of it can violate where longer
+   ones below [n] do not, and a bisection from the top never finds it.
+   The last instruction is never tried: the schedule ends at its
+   violating quantum and the run before it is violation-free, so
+   shortening it ends the run before the violation.
+
+   Returns the last accepted schedule and its violation, and the runs
+   spent, never more than [budget]. *)
+let shrink target ~budget (v0, steps0) =
+  let runs = ref 0 in
+  let best = ref (v0, steps0) in
+  let script = ref (Array.of_list (script_of_steps steps0)) in
+  let ran = Ibuf.create () in
+  let test candidate =
+    if !runs >= budget then raise Shrink_budget;
+    incr runs;
+    let sched = target.make ~trace:false (Sched.Script candidate) in
+    Ibuf.clear ran;
+    Sched.set_quantum_hook sched (Some (fun tid _ _ -> Ibuf.push ran tid));
+    let viol = install_watchers target sched in
+    ignore (Sched.run sched);
+    match !viol with
+    | Some v when v.v_kind = v0.v_kind && v.v_step < (fst !best).v_step ->
+      let steps = list_take (v.v_step + 1) (Ibuf.to_list ran) in
+      best := (v, steps);
+      script := Array.of_list (script_of_steps steps);
+      true
+    | _ -> false
+  in
+  let last () = Array.length !script - 1 in
+  let rec drop_pass () =
+    let dropped = ref false and i = ref 0 in
+    while !i < last () do
+      if test (without !script !i) then dropped := true else incr i
+    done;
+    if !dropped then drop_pass ()
+  in
+  let shorten i =
+    let len () = if i < last () then run_length !script i else 0 in
+    (* [lo]: the longest length known not to violate. *)
+    let lo = ref 0 and k = ref 1 in
+    while !k < len () && not (test (with_length !script i !k)) do
+      lo := !k;
+      k := 2 * !k
+    done;
+    while len () - !lo > 1 do
+      let mid = (!lo + len ()) / 2 in
+      if not (test (with_length !script i mid)) then lo := mid
+    done
+  in
+  (try
+     drop_pass ();
+     let i = ref 0 in
+     while !i < last () do
+       shorten !i;
+       incr i
+     done
+   with Shrink_budget -> ());
+  (!best, !runs)
+
+(* ------------------------------------------------------------------ *)
+(* Search bookkeeping                                                 *)
+(* ------------------------------------------------------------------ *)
+
 (* Shrink a found violation and package the counterexample (shrinking
-   is always sequential: ddmin on the one winning schedule). *)
+   is always sequential, on the one winning schedule). *)
 let build_cex config target (v, steps) =
-  let shrink_runs = ref 0 in
   let steps = list_take (v.v_step + 1) steps in
-  let steps, v =
-    if config.shrink && steps <> [] then begin
-      let shrunk, tests =
-        shrink_steps target ~budget:config.shrink_budget ~kind:v.v_kind steps
-      in
-      shrink_runs := tests;
-      (* Re-derive the violation from the shrunk schedule so the
-         recorded step index matches what replay will observe. *)
-      match (run_steps target shrunk).rp_violation with
-      | Some v' -> (shrunk, v')
-      | None -> (steps, v)  (* defensive: keep the original witness *)
-    end
-    else (steps, v)
+  let (v, steps), shrink_runs =
+    if config.shrink && steps <> [] then
+      shrink target ~budget:config.shrink_budget (v, steps)
+    else ((v, steps), 0)
   in
   ( {
       c_target = target.name;
@@ -723,7 +741,7 @@ let build_cex config target (v, steps) =
       c_script = script_of_steps steps;
       c_preemptions = preemptions_of_steps steps;
     },
-    !shrink_runs )
+    shrink_runs )
 
 (* Reserve one run slot against the shared budget; the slot ordinal
    doubles as the fault-hook's run index. A compare-and-set loop rather

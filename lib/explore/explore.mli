@@ -39,10 +39,13 @@
     Figure 2 violation. In classic mode every schedule within the bounds
     runs.
 
-    A found violation is shrunk by delta-debugging its quantum-by-quantum
-    schedule to a minimal still-violating sequence, compressed into a
-    [Sched.Script] ([Run (tid, n)] instructions), and serialized as a
-    replayable JSON counterexample ({!save} / {!load} / {!replay}).
+    A found violation's schedule is compressed into a [Sched.Script] of
+    [Run (tid, n)] instructions and shrunk over that script: whole
+    instructions are dropped, then each [n] is shortened by an upward
+    probe and a bisection. A candidate is kept only if it reproduces the
+    violation kind on a strictly shorter schedule, so the result is
+    shorter or equal, not minimal. The shrunk schedule is serialized as
+    a replayable JSON counterexample ({!save} / {!load} / {!replay}).
 
     There is one search loop. Each preemption level's frontier is a LIFO
     work stack; [config.domains] workers (one by default) take items one
@@ -109,7 +112,9 @@ type stats = {
       (** fiber suspensions across all runs ({!Era_sched.Sched.switches}):
           a quantum whose successor is the same thread continues inline,
           so this stays far below [states] *)
-  shrink_runs : int;  (** extra executions spent delta-debugging *)
+  shrink_runs : int;
+      (** extra executions spent shrinking the counterexample's script,
+          never more than [config.shrink_budget] *)
   cex_preemptions : int option;
       (** preemption bound at which the violation was found *)
   levels_completed : int;
@@ -153,7 +158,9 @@ type config = {
   max_runs : int;  (** total execution budget for the search *)
   max_steps : int;  (** per-run quantum budget *)
   shrink : bool;
-  shrink_budget : int;  (** execution budget for delta-debugging *)
+  shrink_budget : int;
+      (** execution budget for shrinking; when it runs out the shrinker
+          stops and keeps the shortest schedule accepted so far *)
   domains : int;
       (** workers taking items from each level's shared frontier. Worker
           0 runs on the calling domain, so 1 (the default) is the exact
@@ -187,8 +194,8 @@ type config = {
 
 val default_config : config
 (** 2 preemptions, 20_000 runs, 50_000 steps/run, shrinking on with a
-    budget of 500 runs; 1 domain, DPOR off, no fault hook, no
-    telemetry. *)
+    budget of 50 runs (the built-in cells' witnesses shrink in 9–33);
+    1 domain, DPOR off, no fault hook, no telemetry. *)
 
 val explore : ?config:config -> target -> search_result
 (** Search the target's schedule space. Stops at the first violation

@@ -95,8 +95,10 @@ val monitor : t -> Era_sim.Monitor.t
 val nthreads : t -> int
 
 val set_quantum_hook : t -> (int -> int -> int -> unit) option -> unit
-(** Observability tap for the tracer ([lib/obs]): when set, the hook is
-    called after every quantum with [(tid, time_before, time_after)]
+(** Observability tap for the tracer ([lib/obs]), and how the
+    explorer's shrinker records the quanta a script actually ran: when
+    set, the hook is called after every quantum with
+    [(tid, time_before, time_after)]
     where the times are the monitor's step clock around the quantum, so
     a trace can render each quantum as a span on the thread's track.
     It fires once per quantum, whether the next quantum continues the

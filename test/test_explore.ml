@@ -294,6 +294,77 @@ let test_dpor_differential () =
         | None -> Alcotest.failf "%s: dpor script does not replay" label))
     diff_cells
 
+(* Shrink quality on every built-in cell, classic and DPOR: the shrunk
+   counterexample is no longer, in quanta and in script instructions,
+   than what a 500-run quantum-by-quantum ddmin reached from the same
+   witness (the ceilings below), it costs at most 50 shrink runs, and
+   it replays to the same violation kind at the same quantum. *)
+let ddmin_ceilings =
+  [
+    ("figure2/hp", (459, 3));
+    ("figure2/he", (495, 3));
+    ("figure2/ibr", (401, 3));
+    ("figure1/ebr", (611, 2));
+    ("figure1/hp", (652, 3));
+    ("stall-fuzz/hp", (652, 3));
+    ("neutralize/debra-michael", (359, 3));
+    ("neutralize/debra-hash", (280, 3));
+  ]
+
+let check_replays label target c =
+  match (Ex.replay target c).Ex.rp_violation with
+  | Some v ->
+    Alcotest.(check bool) (label ^ " replays to the same kind") true
+      (v.Ex.v_kind = kind_of_cex c);
+    Alcotest.(check int) (label ^ " replays to the same quantum")
+      c.Ex.c_violation.Ex.v_step v.Ex.v_step
+  | None -> Alcotest.failf "%s: shrunk script does not replay" label
+
+let test_shrink_quality () =
+  List.iter
+    (fun ((label, _, _, _, _, _) as cell) ->
+      let target = target_of_cell cell in
+      let quanta, instrs = List.assoc label ddmin_ceilings in
+      List.iter
+        (fun (mode, config) ->
+          let label = label ^ mode in
+          let r = Ex.explore ~config target in
+          match r.Ex.res_cex with
+          | None -> Alcotest.failf "%s: no counterexample" label
+          | Some c ->
+            Alcotest.(check bool)
+              (Fmt.str "%s: %d quanta <= %d" label (List.length c.Ex.c_steps)
+                 quanta)
+              true
+              (List.length c.Ex.c_steps <= quanta);
+            Alcotest.(check bool)
+              (Fmt.str "%s: %d instructions <= %d" label
+                 (List.length c.Ex.c_script) instrs)
+              true
+              (List.length c.Ex.c_script <= instrs);
+            Alcotest.(check bool)
+              (Fmt.str "%s: %d shrink runs <= 50" label
+                 r.Ex.res_stats.Ex.shrink_runs)
+              true
+              (r.Ex.res_stats.Ex.shrink_runs <= 50);
+            check_replays label target c)
+        [ ("", small); (" dpor", with_dpor small) ])
+    diff_cells
+
+(* The budget is a hard stop: the shrinker keeps the shortest schedule
+   it accepted before running out, and that schedule still replays. *)
+let test_shrink_budget () =
+  let cell = List.hd diff_cells in
+  let target = target_of_cell cell in
+  let r =
+    Ex.explore ~config:{ small with Ex.shrink_budget = 2 } target
+  in
+  Alcotest.(check bool) "shrink runs <= 2" true
+    (r.Ex.res_stats.Ex.shrink_runs <= 2);
+  match r.Ex.res_cex with
+  | None -> Alcotest.fail "no counterexample"
+  | Some c -> check_replays "budget 2" target c
+
 let test_dpor_deterministic () =
   let target = App.explore_target (scheme "hp") App.Harris in
   let a = Ex.explore ~config:(with_dpor small) target in
@@ -908,6 +979,10 @@ let () =
             test_dpor_differential;
           Alcotest.test_case "dpor search is deterministic" `Quick
             test_dpor_deterministic;
+          Alcotest.test_case "script shrinker within ddmin's lengths" `Quick
+            test_shrink_quality;
+          Alcotest.test_case "shrinker stops at its budget" `Quick
+            test_shrink_budget;
           Alcotest.test_case "parallel runs the sequential schedules"
             `Quick test_parallel_schedule_set;
           Alcotest.test_case "cover cell at 2 domains" `Quick

@@ -501,9 +501,20 @@ let test_run_job_explore_artifacts () =
         match
           Result.bind (Json.of_string content) Ex.counterexample_of_json
         with
-        | Ok cex ->
+        | Ok cex -> (
           Alcotest.(check bool) "non-trivial schedule" true
-            (List.length cex.Ex.c_steps > 0)
+            (List.length cex.Ex.c_steps > 0);
+          (* ... and it replays, on the target rebuilt from the JSON
+             alone, to the violation kind it records *)
+          match Era.Applicability.target_of_counterexample cex with
+          | Error e -> Alcotest.failf "stored counterexample target: %s" e
+          | Ok target -> (
+            match (Ex.replay target cex).Ex.rp_violation with
+            | Some v ->
+              Alcotest.(check string) "replays to the same violation kind"
+                (Era_sim.Event.violation_name cex.Ex.c_violation.Ex.v_kind)
+                (Era_sim.Event.violation_name v.Ex.v_kind)
+            | None -> Alcotest.fail "stored counterexample does not replay"))
         | Error e -> Alcotest.failf "stored counterexample invalid: %s" e));
       match List.assoc_opt "registry" r.Job.artifacts with
       | Some _ -> ()
