@@ -70,29 +70,6 @@ let job_status t id =
     | Some job -> Ok job
     | None -> Error "job response without a job")
 
-let wait_job ?(poll_s = 0.05) ?(timeout_s = 120.) t id =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    match job_status t id with
-    | Error _ as e -> e
-    | Ok job -> (
-      let status =
-        Option.value
-          (Option.bind (J.member "status" job) J.to_str)
-          ~default:""
-      in
-      match Job.status_of_name status with
-      | Some s when Job.terminal s -> Ok job
-      | _ ->
-        if Unix.gettimeofday () > deadline then
-          Error (Fmt.str "timed out waiting for job %d (status %s)" id status)
-        else begin
-          Unix.sleepf poll_s;
-          go ()
-        end)
-  in
-  go ()
-
 let follow t ~on_heartbeat id =
   let rec recv_stream () =
     match Wire.recv_json t.conn with
@@ -123,6 +100,8 @@ let follow t ~on_heartbeat id =
   | exception Unix.Unix_error (e, _, _) ->
     Error (Fmt.str "daemon gone: %s" (Unix.error_message e))
   | r -> r
+
+let wait_job t id = follow t ~on_heartbeat:ignore id
 
 let jobs t =
   match rpc t Wire.Jobs with

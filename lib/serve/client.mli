@@ -29,20 +29,23 @@ val submit : t -> tenant:string -> Job.kind -> (submit_outcome, string) result
 val job_status : t -> int -> (Era_metrics.Json.t, string) result
 (** The job summary object ({!Job.summary_to_json} shape). *)
 
-val wait_job :
-  ?poll_s:float -> ?timeout_s:float -> t -> int ->
-  (Era_metrics.Json.t, string) result
-(** Poll until the job's status is terminal (done/failed/aborted);
-    default poll interval 0.05 s, timeout 120 s. *)
-
 val follow :
   t -> on_heartbeat:(Era_metrics.Json.t -> unit) -> int ->
   (Era_metrics.Json.t, string) result
-(** Stream a running job's heartbeats: [on_heartbeat] is called with
-    each beat body ([{"job":…,"seq":…,"ts_s":…,"label":…,"registry":…}])
-    as the daemon pushes it; returns the final job summary once the job
-    is terminal. Blocks for the job's whole remaining lifetime and
-    occupies the connection — don't pipeline other requests behind it. *)
+(** Stream a job's heartbeats: [on_heartbeat] is called with each beat
+    body ([{"job":…,"seq":…,"ts_s":…,"label":…,"registry":…}]), oldest
+    first — the history so far, then each new beat as the daemon pushes
+    it; returns the final job summary once the job is terminal
+    (done/failed/aborted). Blocks for the job's whole remaining lifetime
+    and occupies the connection — don't pipeline other requests behind
+    it. Ends with [Error] if the daemon closes the connection first. *)
+
+val wait_job : t -> int -> (Era_metrics.Json.t, string) result
+(** {!follow} that ignores heartbeats: block until the job is terminal
+    and return its summary. No timeout — the wait ends when the job
+    ends or the daemon closes the connection. A stopping daemon makes
+    every admitted job terminal first (drained or aborted), so a wait
+    across a shutdown returns the job's real terminal summary. *)
 
 val jobs : t -> (Era_metrics.Json.t list, string) result
 val stats : t -> (Era_metrics.Json.t, string) result

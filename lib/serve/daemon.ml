@@ -171,42 +171,32 @@ let dispatch t (req : Wire.request) =
        caller routes a follow through the one-shot dispatch. *)
     Wire.err "follow is a streaming request"
 
-(* Streaming [follow]: one connection-occupying loop per request. Push
-   every heartbeat the job emits (each as its own {"heartbeat":...}
-   line), then finish with a single terminal ok line carrying the final
-   job summary. The executor pushes beats {e before} flipping the job
-   to a terminal status, so the drain after observing [terminal] sees
-   the complete history. *)
+(* Streaming [follow]: one connection-occupying loop per request. Send
+   every heartbeat above the last one sent (each as its own
+   {"heartbeat":...} line), then either finish with a single terminal ok
+   line carrying the final job summary or block until the job publishes
+   again. Beats and status share one snapshot, so the terminal snapshot
+   already holds the last beats. [Daemon.stop] makes every admitted job
+   terminal before it returns, so no follower outlives it blocked. *)
 let follow t conn id =
   match find_job t id with
   | None -> Wire.send_json conn (Wire.err (Fmt.str "no such job %d" id))
   | Some job ->
-    let last = ref 0 in
-    let drain_beats () =
+    let rec go last (p : Job.progress) =
+      let rec fresh acc = function
+        | (seq, body) :: older when seq > last -> fresh (body :: acc) older
+        | _ -> acc
+      in
       List.iter
-        (fun (seq, body) ->
-          last := seq;
-          Wire.send_json conn (J.Obj [ ("heartbeat", body) ]))
-        (Executor.heartbeats_after t.exec ~job:id ~after:!last)
-    in
-    let rec go () =
-      drain_beats ();
-      if Job.terminal (Job.progress job).status then begin
-        drain_beats ();
+        (fun body -> Wire.send_json conn (J.Obj [ ("heartbeat", body) ]))
+        (fresh [] p.beats);
+      if Job.terminal p.status then
         Wire.send_json conn (Wire.ok [ ("job", Job.summary_to_json job) ])
-      end
-      else if Atomic.get t.stopping then
-        (* Daemon going down: close the stream honestly rather than
-           spin — the summary still says queued/running. *)
-        Wire.send_json conn
-          (Wire.ok
-             [ ("job", Job.summary_to_json job); ("interrupted", J.Bool true) ])
-      else begin
-        Thread.delay 0.05;
-        go ()
-      end
+      else
+        let last = match p.beats with (seq, _) :: _ -> seq | [] -> last in
+        go last (Job.await job ~seen:p)
     in
-    go ()
+    go 0 (Job.progress job)
 
 (* ---------------------------------------------------------------- *)
 (* Connection handling                                               *)
@@ -239,7 +229,7 @@ let handler t fd () =
           loop ()
         | Ok (Wire.Follow id) ->
           (* The one streaming request: occupies this handler thread
-             until the followed job is terminal (or we're stopping). *)
+             until the followed job is terminal. *)
           follow t conn id;
           loop ()
         | Ok req ->

@@ -48,8 +48,10 @@ val stop : ?drain:bool -> t -> unit
     unlink the socket, dump the job table to [jobs_<socket-base>.json]
     and persist the server trace into the store. Idempotent.
 
-    Handler threads for connections still open exit on their next poll
-    tick (sub-second); their clients see EOF. *)
+    The executor stop makes every admitted job terminal, so a [follow]
+    (and so {!Client.wait_job}) blocked on a job wakes with its real
+    terminal summary. Handler threads for connections still open then
+    exit on their next poll tick (sub-second); their clients see EOF. *)
 
 val stats_registry : t -> Era_obs.Registry.t
 (** A fresh registry snapshot: admission counters

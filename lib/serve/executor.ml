@@ -17,68 +17,14 @@ type stats = {
   service_us : int Atomic.t;
 }
 
-(* Heartbeat bus: per-job sequence-numbered registry snapshots pushed by
-   the worker domain executing the job and drained by daemon handler
-   threads serving [follow] requests. One mutex over a small table —
-   heartbeats are coarse (one per progress stride), never hot-path. *)
-type heartbeats = {
-  hb_m : Mutex.t;
-  hb_tbl : (int, (int * J.t) list ref) Hashtbl.t;  (* newest first *)
-}
-
-let hb_cap = 256 (* per job; older beats fall off, history stays bounded *)
-
-let create_heartbeats () =
-  { hb_m = Mutex.create (); hb_tbl = Hashtbl.create 32 }
-
-let hb_push hb (job : Job.t) registry_json =
-  Mutex.lock hb.hb_m;
-  let cell =
-    match Hashtbl.find_opt hb.hb_tbl job.Job.id with
-    | Some c -> c
-    | None ->
-      let c = ref [] in
-      Hashtbl.replace hb.hb_tbl job.Job.id c;
-      c
-  in
-  let seq = match !cell with (s, _) :: _ -> s + 1 | [] -> 1 in
-  let entry =
-    J.Obj
-      [
-        ("job", J.Int job.Job.id);
-        ("seq", J.Int seq);
-        ("ts_s", J.Float (Unix.gettimeofday ()));
-        ("label", J.String (Job.kind_label job.Job.kind));
-        ("registry", registry_json);
-      ]
-  in
-  let kept =
-    if List.length !cell >= hb_cap then
-      List.filteri (fun i _ -> i < hb_cap - 1) !cell
-    else !cell
-  in
-  cell := (seq, entry) :: kept;
-  Mutex.unlock hb.hb_m
-
-let hb_after hb ~job ~after =
-  Mutex.lock hb.hb_m;
-  let entries =
-    match Hashtbl.find_opt hb.hb_tbl job with
-    | None -> []
-    | Some c -> List.rev (List.filter (fun (s, _) -> s > after) !c)
-  in
-  Mutex.unlock hb.hb_m;
-  entries
+let beat_cap = 256 (* per job; older beats fall off, history stays bounded *)
 
 type t = {
   queue : Job.t Fair_queue.t;
   st : stats;
-  hb : heartbeats;
   domains : unit Domain.t array;
   stopped : bool Atomic.t;
 }
-
-let heartbeats_after t ~job ~after = hb_after t.hb ~job ~after
 
 (* A sink the optimizer cannot delete, so Probe's spin is real work with
    a stable per-unit cost (roughly one float multiply-add per unit). *)
@@ -119,17 +65,17 @@ let progress_registry (p : Ex.progress) =
     p.Ex.pg_budget_left;
   Registry.to_json reg
 
-(* The one beat every job kind emits: pushed as the job transitions to
-   [Running], so a follower always sees at least one heartbeat. *)
+(* The one beat every job kind emits: published as the job transitions
+   to [Running], so a follower always sees at least one heartbeat. *)
 let start_registry started_s =
   let reg = Registry.create () in
   Registry.set (Registry.gauge reg "job_started_s") started_s;
   Registry.to_json reg
 
 (* Run the job body; returns (note, artifacts). Raises on bad input or
-   a crashing run — the caller turns that into [Failed]. [push] emits a
-   mid-job heartbeat (a registry-format JSON snapshot). *)
-let execute ~store ~push (job : Job.t) =
+   a crashing run — the caller turns that into [Failed]. [beat]
+   publishes a mid-job heartbeat (a registry-format JSON snapshot). *)
+let execute ~store ~beat (job : Job.t) =
   match job.Job.kind with
   | Job.Probe { spin } ->
     run_probe spin;
@@ -183,7 +129,7 @@ let execute ~store ~push (job : Job.t) =
            callback runs on the exploring domain, so it only builds a
            small registry and takes one short critical section. *)
         progress_every = max 1 (e.max_runs / 16);
-        on_progress = Some (fun p -> push (progress_registry p));
+        on_progress = Some (fun p -> beat (progress_registry p));
       }
     in
     let t0 = Unix.gettimeofday () in
@@ -218,45 +164,60 @@ let execute ~store ~push (job : Job.t) =
     in
     (note, !artifacts)
 
+(* Append one heartbeat to the job's snapshot. *)
+let beat (job : Job.t) registry_json =
+  Job.publish job (fun p ->
+      let seq = match p.Job.beats with (s, _) :: _ -> s + 1 | [] -> 1 in
+      let body =
+        J.Obj
+          [
+            ("job", J.Int job.Job.id);
+            ("seq", J.Int seq);
+            ("ts_s", J.Float (Unix.gettimeofday ()));
+            ("label", J.String (Job.kind_label job.Job.kind));
+            ("registry", registry_json);
+          ]
+      in
+      {
+        p with
+        Job.beats =
+          (seq, body) :: List.filteri (fun i _ -> i < beat_cap - 1) p.Job.beats;
+      })
+
 (* Persist the job's heartbeat history (what a follower would have
    seen) as one artifact, oldest beat first. *)
-let persist_heartbeats hb ~store (job : Job.t) =
-  match hb_after hb ~job:job.Job.id ~after:0 with
-  | [] -> None
-  | entries ->
-    let key =
-      Store.put store ~akind:"heartbeats" ~job_id:job.Job.id
-        ~label:(Job.kind_label job.Job.kind)
-        (J.to_string (J.List (List.map snd entries)))
-    in
-    Some key
+let persist_heartbeats ~store (job : Job.t) =
+  Store.put store ~akind:"heartbeats" ~job_id:job.Job.id
+    ~label:(Job.kind_label job.Job.kind)
+    (J.to_string (J.List (List.rev_map snd (Job.progress job).Job.beats)))
 
-let run_job ?hb ~store (job : Job.t) =
-  let push body =
-    match hb with None -> () | Some b -> hb_push b job body
-  in
+let error_note exn = Fmt.str "error: %s" (Printexc.to_string exn)
+
+(* Run the job to its outcome [(status, note, artifacts)], publishing
+   [Running] and the heartbeats but not the outcome. Never raises: a
+   failing run or a failing heartbeat put ends the job [Failed], so its
+   worker lives on and its waiters wake. *)
+let run ~store (job : Job.t) =
   let started_s = Unix.gettimeofday () in
-  Atomic.set job.Job.progress
-    { Job.status = Running; started_s; finished_s = 0.; result = None };
-  push (start_registry started_s);
-  let note, artifacts, status =
-    match execute ~store ~push job with
-    | note, artifacts -> (note, artifacts, Job.Done)
-    | exception exn ->
-      (Fmt.str "error: %s" (Printexc.to_string exn), [], Job.Failed)
+  Job.publish job (fun p -> { p with Job.status = Running; started_s });
+  beat job (start_registry started_s);
+  let status, note, artifacts =
+    match execute ~store ~beat:(beat job) job with
+    | note, artifacts -> (Job.Done, note, artifacts)
+    | exception exn -> (Job.Failed, error_note exn, [])
   in
-  let finished_s = Unix.gettimeofday () in
-  let artifacts =
-    match Option.bind hb (fun b -> persist_heartbeats b ~store job) with
-    | None -> artifacts
-    | Some key -> artifacts @ [ ("heartbeats", key) ]
-  in
-  (* Status and result land in one store, so no reader can see the
-     terminal status without the result. *)
-  Atomic.set job.Job.progress
-    { Job.status; started_s; finished_s; result = Some { note; artifacts } }
+  match persist_heartbeats ~store job with
+  | key -> (status, note, artifacts @ [ ("heartbeats", key) ])
+  | exception exn -> (Job.Failed, error_note exn, [])
 
-let worker ~idx ~t0 ~tracer ~store ~queue ~hb st () =
+let finish (job : Job.t) (status, note, artifacts) =
+  let finished_s = Unix.gettimeofday () in
+  Job.publish job (fun p ->
+      { p with status; finished_s; result = Some { note; artifacts } })
+
+let run_job ~store job = finish job (run ~store job)
+
+let worker ~idx ~t0 ~tracer ~store ~queue st () =
   let rec loop () =
     match Fair_queue.next queue with
     | None -> ()
@@ -273,16 +234,19 @@ let worker ~idx ~t0 ~tracer ~store ~queue ~hb st () =
               ("id", J.Int job.Job.id); ("tenant", J.String job.Job.tenant);
             ]
           (Job.kind_label job.Job.kind));
-      run_job ~hb ~store job;
+      let outcome = run ~store job in
       let ts' = now_us () in
       (match tracer with
       | None -> ()
       | Some tr -> Tracer.end_span tr ~ts:ts' ~tid:idx);
       ignore (Atomic.fetch_and_add st.service_us (ts' - ts));
-      (match (Job.progress job).status with
-      | Job.Done -> Atomic.incr st.served
+      (* Account before the terminal flip wakes the job's waiters, so
+         the stats they read next include the job. *)
+      (match outcome with
+      | Job.Done, _, _ -> Atomic.incr st.served
       | _ -> Atomic.incr st.failed);
       Atomic.decr st.busy;
+      finish job outcome;
       loop ()
   in
   loop ()
@@ -305,12 +269,11 @@ let start ?(workers = 2) ?tracer ~queue ~store () =
     for i = 0 to workers - 1 do
       Tracer.set_thread_name tr ~tid:i (Fmt.str "worker-%d" i)
     done);
-  let hb = create_heartbeats () in
   let domains =
     Array.init workers (fun idx ->
-        Domain.spawn (worker ~idx ~t0 ~tracer ~store ~queue ~hb st))
+        Domain.spawn (worker ~idx ~t0 ~tracer ~store ~queue st))
   in
-  { queue; st; hb; domains; stopped = Atomic.make false }
+  { queue; st; domains; stopped = Atomic.make false }
 
 let stats t = t.st
 let workers t = Array.length t.domains
@@ -322,15 +285,15 @@ let stop ?(drain = true) t =
       let abandoned = Fair_queue.close_now t.queue in
       List.iter
         (fun (job : Job.t) ->
-          Atomic.set job.Job.progress
-            {
-              Job.status = Aborted;
-              started_s = 0.;
-              finished_s = Unix.gettimeofday ();
-              result =
-                Some { note = "aborted: daemon stopped"; artifacts = [] };
-            };
-          Atomic.incr t.st.aborted)
+          Atomic.incr t.st.aborted;
+          Job.publish job (fun p ->
+              {
+                p with
+                Job.status = Aborted;
+                finished_s = Unix.gettimeofday ();
+                result =
+                  Some { note = "aborted: daemon stopped"; artifacts = [] };
+              }))
         abandoned
     end;
     Array.iter Domain.join t.domains

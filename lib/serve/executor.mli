@@ -12,7 +12,9 @@
     - [drain = false]: the backlog is abandoned; each abandoned job is
       marked [Aborted] (never silently lost) and workers exit after
       their in-flight job.
-    Both wake workers blocked on an empty queue ({!stop} joins them). *)
+    Both wake workers blocked on an empty queue ({!stop} joins them).
+    Either way every admitted job is terminal when {!stop} returns, so
+    every {!Job.await}er wakes. *)
 
 type stats = {
   served : int Atomic.t;  (** jobs finished [Done] *)
@@ -23,22 +25,6 @@ type stats = {
 }
 
 type t
-
-type heartbeats
-(** Per-job heartbeat bus: sequence-numbered registry-format snapshots
-    pushed by the worker executing a job (every job emits one as it
-    starts running; explore jobs add periodic progress snapshots) and
-    drained by daemon threads serving [follow] requests. History is
-    capped at 256 beats per job and persisted as a ["heartbeats"]
-    artifact when the job finishes. *)
-
-val create_heartbeats : unit -> heartbeats
-
-val heartbeats_after :
-  t -> job:int -> after:int -> (int * Era_metrics.Json.t) list
-(** Beats for [job] with sequence number [> after], oldest first, each
-    as [(seq, body)] where [body] is
-    [{"job":…,"seq":…,"ts_s":…,"label":…,"registry":…}]. *)
 
 val start :
   ?workers:int ->
@@ -58,10 +44,14 @@ val stop : ?drain:bool -> t -> unit
 (** Close the queue ([drain] as above), join every worker. Idempotent —
     a second call is a no-op. *)
 
-val run_job : ?hb:heartbeats -> store:Store.t -> Job.t -> unit
-(** Execute one job synchronously on the calling domain: sets
-    [started_s]/[finished_s], transitions [Running -> Done|Failed], and
-    stores artifacts. With [hb], heartbeats are pushed during the run
-    and the history is persisted as a ["heartbeats"] artifact (listed in
-    the job's result). Exposed for tests and for running without a
-    pool. *)
+val run_job : store:Store.t -> Job.t -> unit
+(** Execute one job synchronously on the calling domain, publishing
+    every step through {!Job.publish}: [Running] with [started_s] and a
+    start heartbeat; for explore jobs, about 16 progress heartbeats;
+    then the terminal flip to [Done] or [Failed] with [finished_s] and
+    the result. Heartbeats are sequence-numbered registry-format bodies
+    [{"job":…,"seq":…,"ts_s":…,"label":…,"registry":…}] kept in the
+    job's snapshot, and the history is persisted as a ["heartbeats"]
+    artifact listed in the result. Never raises: a run or a store put
+    that raises ends the job [Failed] with the error as its note.
+    Exposed for tests and for running without a pool. *)

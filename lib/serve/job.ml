@@ -31,14 +31,20 @@ type progress = {
   started_s : float;
   finished_s : float;
   result : result_ option;
+  beats : (int * J.t) list;
 }
+
+(* Readers take the snapshot lock-free from [cur]; [m] serialises the
+   writers and guards the check-then-wait of [await] against [c]'s
+   broadcast. *)
+type cell = { cur : progress Atomic.t; m : Mutex.t; c : Condition.t }
 
 type t = {
   id : int;
   tenant : string;
   kind : kind;
   submitted_s : float;
-  progress : progress Atomic.t;
+  cell : cell;
 }
 
 let make ~id ~tenant kind =
@@ -47,12 +53,37 @@ let make ~id ~tenant kind =
     tenant;
     kind;
     submitted_s = Unix.gettimeofday ();
-    progress =
-      Atomic.make
-        { status = Queued; started_s = 0.; finished_s = 0.; result = None };
+    cell =
+      {
+        cur =
+          Atomic.make
+            {
+              status = Queued;
+              started_s = 0.;
+              finished_s = 0.;
+              result = None;
+              beats = [];
+            };
+        m = Mutex.create ();
+        c = Condition.create ();
+      };
   }
 
-let progress t = Atomic.get t.progress
+let progress t = Atomic.get t.cell.cur
+
+let publish t f =
+  let c = t.cell in
+  Mutex.protect c.m (fun () ->
+      Atomic.set c.cur (f (Atomic.get c.cur));
+      Condition.broadcast c.c)
+
+let await t ~seen =
+  let c = t.cell in
+  Mutex.protect c.m (fun () ->
+      while Atomic.get c.cur == seen do
+        Condition.wait c.c c.m
+      done;
+      Atomic.get c.cur)
 
 let kind_name = function
   | Explore _ -> "explore"

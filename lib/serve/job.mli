@@ -40,26 +40,46 @@ type result_ = {
 }
 
 (** A job's mutable half, published whole: a terminal [status] is never
-    seen without its [result]. *)
+    seen without its [result], nor without the heartbeats that preceded
+    it. *)
 type progress = {
   status : status;
   started_s : float;  (** 0. until the executor picks it up *)
   finished_s : float;  (** 0. until terminal *)
   result : result_ option;  (** [Some] once terminal *)
+  beats : (int * Era_metrics.Json.t) list;
+      (** heartbeats as [(seq, body)], newest first, seq dense from 1;
+          at most the newest 256 are kept *)
 }
+
+type cell
+(** The published {!progress} with the lock and condition its waiters
+    block on; read with {!progress} and {!await}, written with
+    {!publish}. *)
 
 type t = {
   id : int;
   tenant : string;
   kind : kind;
   submitted_s : float;  (** wall clock, [Unix.gettimeofday] *)
-  progress : progress Atomic.t;
+  cell : cell;
 }
 
 val make : id:int -> tenant:string -> kind -> t
 
 val progress : t -> progress
-(** One consistent snapshot of the job's lifecycle. *)
+(** One consistent snapshot of the job's lifecycle (lock-free). *)
+
+val publish : t -> (progress -> progress) -> unit
+(** The only writer: replace the snapshot [p] with [f p] and wake every
+    {!await}er. Writers are serialised by the job's lock, so [f] may
+    derive the next snapshot from the current one. *)
+
+val await : t -> seen:progress -> progress
+(** Block until the published snapshot is physically different from
+    [seen], then return it. The check and the wait happen under the
+    job's lock, so a {!publish} between them is never missed. Returns at
+    once if the snapshot already changed. *)
 
 val kind_name : kind -> string
 (** ["explore"] | ["figure1"] | ["figure2"] | ["probe"]. *)

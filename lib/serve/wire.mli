@@ -26,11 +26,13 @@
     well-formed admission outcome, not a protocol error.
 
     [follow] is the one streaming exception to one-request/one-response:
-    the daemon pushes zero or more [{"heartbeat":...}] lines (periodic
-    registry snapshots from the running job) and finishes with a single
-    terminal [{"ok":true,"job":...}] line once the job reaches a
-    terminal status. A follow occupies its connection until that
-    terminal line — don't pipeline other requests behind it. *)
+    the daemon pushes the job's [{"heartbeat":...}] lines (registry
+    snapshots from the running job: the history so far, then each new
+    one as it is published) and finishes with a single terminal
+    [{"ok":true,"job":...}] line once the job reaches a terminal status
+    — done, failed, or aborted by a non-draining shutdown. A follow
+    occupies its connection until that terminal line — don't pipeline
+    other requests behind it. *)
 
 type request =
   | Ping

@@ -346,15 +346,20 @@ let test_store_append_only () =
       Alcotest.(check string) "a duplicate put leaves the log alone" !before
         (read_file (manifest_log dir)))
 
+(* A regular file where the objects directory was: every put raises
+   [Sys_error], even as root. Returns the file's path. *)
+let break_objects dir =
+  let objects = Filename.concat dir "objects" in
+  rm_rf objects;
+  Out_channel.with_open_bin objects ignore;
+  objects
+
 (* A put whose object write raises must release the store lock: a later
    put, from another domain, has to get through. *)
 let test_store_failed_put_unlocks () =
   in_temp_dir "era_store" (fun dir ->
       let s = Store.open_ ~dir in
-      let objects = Filename.concat dir "objects" in
-      (* a regular file where the directory was: unwritable even as root *)
-      rm_rf objects;
-      Out_channel.with_open_bin objects ignore;
+      let objects = break_objects dir in
       (match Store.put s ~akind:"verdict" ~job_id:1 "lost" with
       | _ -> Alcotest.fail "a put into an unwritable store must raise"
       | exception Sys_error _ -> ());
@@ -532,12 +537,11 @@ let test_run_job_unknown_scheme () =
       Alcotest.(check bool) "note names the problem" true
         (String.length r.Job.note > 0))
 
-(* Heartbeats: a run with a bus attached pushes a start beat plus
-   periodic explore progress, and persists the history — ascending
+(* Heartbeats: a run publishes a start beat plus periodic explore
+   progress in the job's snapshot, and persists the history — ascending
    sequence numbers, registry-format bodies — as an artifact. *)
 let test_run_job_heartbeats () =
   with_store (fun store ->
-      let hb = Executor.create_heartbeats () in
       (* a safe scheme exhausts its run budget, so progress beats fire
          (hp/harris would cut short at the first violation) *)
       let kind =
@@ -549,7 +553,7 @@ let test_run_job_heartbeats () =
           }
       in
       let j = Job.make ~id:11 ~tenant:"t" kind in
-      Executor.run_job ~hb ~store j;
+      Executor.run_job ~store j;
       let r = Option.get (Job.progress j).Job.result in
       let key =
         match List.assoc_opt "heartbeats" r.Job.artifacts with
@@ -648,6 +652,34 @@ let test_executor_stop_now_aborts_backlog () =
               | None -> false))
         jobs)
 
+(* A store put that raises after the job body ran (here the heartbeats
+   artifact of a probe, which stores nothing else) must end the job
+   [Failed] and leave its worker alive for the next job; a dead worker
+   strands the backlog and blocks every waiter on those jobs. *)
+let test_executor_failed_put () =
+  in_temp_dir "era_exec" (fun dir ->
+      let store = Store.open_ ~dir in
+      ignore (break_objects dir : string);
+      let queue = Fq.create () in
+      let jobs =
+        List.init 2 (fun i ->
+            Job.make ~id:(i + 1) ~tenant:"t" (Job.Probe { spin = 100 }))
+      in
+      List.iter (fun j -> ok_submit queue ~tenant:"t" j) jobs;
+      let ex = Executor.start ~workers:1 ~queue ~store () in
+      Executor.stop ~drain:true ex;
+      List.iter
+        (fun j ->
+          let p = Job.progress j in
+          Alcotest.(check string) "failed" "failed"
+            (Job.status_name p.Job.status);
+          let note = (Option.get p.Job.result).Job.note in
+          Alcotest.(check bool) ("note carries the error: " ^ note) true
+            (String.starts_with ~prefix:"error: Sys_error" note))
+        jobs;
+      Alcotest.(check int) "failed counter" 2
+        (Atomic.get (Executor.stats ex).Executor.failed))
+
 (* Workers blocked on an EMPTY queue: stop must wake and join them — the
    executor-level lost-wakeup test (hangs on regression). *)
 let test_executor_stop_while_blocked () =
@@ -691,15 +723,16 @@ let get_exn = function
   | Ok v -> v
   | Error e -> Alcotest.failf "rpc: %s" e
 
+let submit_exn ?(tenant = "t") cl kind =
+  match get_exn (Client.submit cl ~tenant kind) with
+  | Client.Admitted id -> id
+  | Client.Shed r -> Alcotest.failf "shed under capacity: %s" r
+
 let test_daemon_submit_wait () =
   with_daemon (fun d socket ->
       let cl = connect socket in
       get_exn (Client.ping cl);
-      let id =
-        match get_exn (Client.submit cl ~tenant:"alice" small_explore) with
-        | Client.Admitted id -> id
-        | Client.Shed r -> Alcotest.failf "shed under capacity: %s" r
-      in
+      let id = submit_exn ~tenant:"alice" cl small_explore in
       let j = get_exn (Client.wait_job cl id) in
       let field k =
         Option.value (Option.bind (Json.member k j) Json.to_str) ~default:""
@@ -743,16 +776,19 @@ let test_daemon_submit_wait () =
       Alcotest.(check int) "daemon job table" 1 (List.length (Daemon.jobs d));
       Client.close cl)
 
+let beat_seqs beats =
+  List.map
+    (fun b ->
+      Option.value (Option.bind (Json.member "seq" b) Json.to_int)
+        ~default:(-1))
+    beats
+
 (* The streaming exception to one-request/one-response: follow a live
    explore job and collect its heartbeats until the terminal summary. *)
 let test_daemon_follow () =
   with_daemon (fun _ socket ->
       let cl = connect socket in
-      let id =
-        match get_exn (Client.submit cl ~tenant:"t" small_explore) with
-        | Client.Admitted id -> id
-        | Client.Shed r -> Alcotest.failf "shed under capacity: %s" r
-      in
+      let id = submit_exn cl small_explore in
       let beats = ref [] in
       let summary =
         get_exn (Client.follow cl ~on_heartbeat:(fun b -> beats := b :: !beats) id)
@@ -760,13 +796,7 @@ let test_daemon_follow () =
       let beats = List.rev !beats in
       Alcotest.(check bool) "at least the start beat streamed" true
         (beats <> []);
-      let seqs =
-        List.map
-          (fun b ->
-            Option.value (Option.bind (Json.member "seq" b) Json.to_int)
-              ~default:(-1))
-          beats
-      in
+      let seqs = beat_seqs beats in
       Alcotest.(check (list int)) "seqs stream in order, no gaps"
         (List.init (List.length seqs) (( + ) 1))
         seqs;
@@ -787,6 +817,93 @@ let test_daemon_follow () =
       (* the connection is reusable after the stream ends *)
       get_exn (Client.ping cl);
       Client.close cl)
+
+let num k j =
+  match Json.member k j with
+  | Some (Json.Float f) -> f
+  | Some (Json.Int i) -> float_of_int i
+  | _ -> Alcotest.failf "summary without %s" k
+
+let median l = List.nth (List.sort compare l) (List.length l / 2)
+
+(* Completion is pushed: a waiter and a follower both return within a
+   few ms of the job's [finished_s], not on a poll tick. The probe runs
+   about 5-15 ms, so a 50 ms poll would read 35-45 ms. *)
+let test_daemon_completion_pushed () =
+  with_daemon ~workers:1 (fun _ socket ->
+      let cl = connect socket in
+      let lag wait =
+        let id = submit_exn cl (Job.Probe { spin = 1_000_000 }) in
+        let j = get_exn (wait id) in
+        let now = Unix.gettimeofday () in
+        Alcotest.(check (option string)) "done" (Some "done")
+          (Option.bind (Json.member "status" j) Json.to_str);
+        (now -. num "finished_s" j) *. 1e3
+      in
+      let lags wait = median (List.init 5 (fun _ -> lag wait)) in
+      let waited = lags (Client.wait_job cl) in
+      let followed = lags (Client.follow cl ~on_heartbeat:ignore) in
+      Client.close cl;
+      let within name ms =
+        if ms >= 20. then
+          Alcotest.failf "%s returned a median %.1f ms after finished_s" name
+            ms
+      in
+      within "wait_job" waited;
+      within "follow" followed)
+
+(* Follow after the fact gets the whole history at once. Across a
+   non-draining stop, a follower of the in-flight job and one of a
+   queued job both end with the job's real terminal summary. *)
+let test_daemon_late_follow_and_stop () =
+  with_daemon ~workers:1 (fun d socket ->
+      let cl = connect socket in
+      let kind =
+        Job.Explore
+          {
+            scheme = "ebr"; structure = "harris-list"; preemptions = 2;
+            max_runs = 400; steps = 50_000; seed = 3; ops = None;
+            robust_bound = None;
+          }
+      in
+      let id = submit_exn cl kind in
+      ignore (get_exn (Client.wait_job cl id) : Json.t);
+      let beats = ref [] in
+      let summary =
+        get_exn
+          (Client.follow cl ~on_heartbeat:(fun b -> beats := b :: !beats) id)
+      in
+      let seqs = beat_seqs (List.rev !beats) in
+      Alcotest.(check bool) "start beat plus progress" true
+        (List.length seqs >= 2);
+      Alcotest.(check (list int)) "the whole history, seq 1..n"
+        (List.init (List.length seqs) (( + ) 1))
+        seqs;
+      let status j = Option.bind (Json.member "status" j) Json.to_str in
+      Alcotest.(check (option string)) "finished job follows to done"
+        (Some "done") (status summary);
+      (* the one worker runs a long probe; the next job stays queued *)
+      let running = submit_exn cl (Job.Probe { spin = 60_000_000 }) in
+      let queued = submit_exn cl (Job.Probe { spin = 10 }) in
+      let cl2 = connect socket in
+      get_exn (Client.ping cl2);
+      let follower =
+        Domain.spawn (fun () -> Client.follow cl2 ~on_heartbeat:ignore running)
+      in
+      let stopper =
+        Domain.spawn (fun () ->
+            Unix.sleepf 0.05;
+            Daemon.stop ~drain:false d)
+      in
+      let aborted = get_exn (Client.follow cl ~on_heartbeat:ignore queued) in
+      let finished = get_exn (Domain.join follower) in
+      Domain.join stopper;
+      Client.close cl;
+      Client.close cl2;
+      Alcotest.(check (option string)) "queued job ends aborted"
+        (Some "aborted") (status aborted);
+      Alcotest.(check (option string)) "in-flight job ends done"
+        (Some "done") (status finished))
 
 let test_daemon_shed_and_registry () =
   (* 1 worker busy on a long probe; tiny caps force shed on the wire *)
@@ -920,6 +1037,8 @@ let () =
             test_executor_stop_now_aborts_backlog;
           Alcotest.test_case "stop while workers blocked" `Quick
             test_executor_stop_while_blocked;
+          Alcotest.test_case "failed put keeps the worker" `Quick
+            test_executor_failed_put;
         ] );
       ( "daemon",
         [
@@ -927,6 +1046,10 @@ let () =
             test_daemon_submit_wait;
           Alcotest.test_case "follow streams heartbeats" `Quick
             test_daemon_follow;
+          Alcotest.test_case "completion is pushed" `Quick
+            test_daemon_completion_pushed;
+          Alcotest.test_case "late follow and stop" `Quick
+            test_daemon_late_follow_and_stop;
           Alcotest.test_case "shed + registry" `Quick
             test_daemon_shed_and_registry;
           Alcotest.test_case "client-driven shutdown" `Quick
