@@ -169,8 +169,8 @@ let install_watchers target sched =
 
 (* Reusable int buffer: the per-quantum and per-choice-point recording
    of a run goes through these, so a run's bookkeeping allocates only
-   the final copied-out arrays (and only for runs that can have
-   children). *)
+   the copy of its choices that its children share (and only for runs
+   that emit a child). *)
 module Ibuf = struct
   type t = { mutable a : int array; mutable len : int }
 
@@ -224,13 +224,13 @@ let root_item =
     it_group = None;
   }
 
+(* What a run leaves behind besides its scratch buffers. The per-choice
+   records (chosen tid, packed runnable mask and previous tid, and in
+   DPOR mode the awake mask, alive mask and footprint) stay in the
+   worker's scratch: [iter_children] reads them there, before the
+   worker's next run overwrites them. *)
 type run_record = {
   ru_plen : int;  (* prefix length: it_dev + 1 *)
-  ru_choices : int array;  (* chosen tid per choice point *)
-  ru_info : int array;  (* packed runnable mask + prev tid *)
-  ru_awake : int array;  (* DPOR: non-sleeping runnable mask per point *)
-  ru_alive : int array;  (* DPOR: alive bitmask over [ru_entries] *)
-  ru_fps : Sleep_set.footprint array;  (* DPOR: chosen quantum footprints *)
   ru_entries : Sleep_set.entry array;  (* DPOR: the run's sleep entries *)
   ru_violation : violation_info option;
   ru_steps : int list;  (* tids in execution order; only on violation *)
@@ -243,12 +243,12 @@ type run_record = {
 (* Per-worker scratch. One per domain; a [Sched.t] and its heap are
    single-domain objects, and so is this. *)
 type scratch = {
-  s_info : Ibuf.t;
-  s_choices : Ibuf.t;
-  s_awake : Ibuf.t;
-  s_alive : Ibuf.t;
+  s_info : Ibuf.t;  (* packed runnable mask + prev tid per choice point *)
+  s_choices : Ibuf.t;  (* chosen tid per choice point *)
+  s_awake : Ibuf.t;  (* DPOR: non-sleeping runnable mask per point *)
+  s_alive : Ibuf.t;  (* DPOR: alive bitmask over the run's entries *)
   s_steps : Ibuf.t;
-  s_fps : Sleep_set.footprint Vec.t;
+  s_fps : Sleep_set.footprint Vec.t;  (* DPOR: chosen quantum footprints *)
   s_builder : Sleep_set.builder;
   mutable s_buf : int array;  (* runnable-tid scratch *)
 }
@@ -487,22 +487,11 @@ let run_one target ~dpor ~mutate_groups ~max_steps ~cancel ~item sc =
       Option.bind (Monitor.first_violation (Sched.monitor sched))
         (violation_of_event ~step:0)
   in
-  let ndecs = !ndec in
-  (* Copy the packed records out only when the run can have children:
-     a run that made no choice past its deviation point has none, and a
-     violating run ends the search. *)
-  let has_children = v = None && ndecs > plen in
+  (* Nothing is copied out here: the choice records stay in [sc] for
+     [iter_children], which copies the choices only once it emits a
+     child. *)
   {
     ru_plen = plen;
-    ru_choices = (if has_children then Ibuf.to_array sc.s_choices else [||]);
-    ru_info = (if has_children then Ibuf.to_array sc.s_info else [||]);
-    ru_awake =
-      (if has_children && dpor then Ibuf.to_array sc.s_awake else [||]);
-    ru_alive =
-      (if has_children && dpor then Ibuf.to_array sc.s_alive else [||]);
-    ru_fps =
-      (if has_children && dpor then Array.init ndecs (Vec.get sc.s_fps)
-       else [||]);
     ru_entries = entries;
     ru_violation = v;
     ru_steps = (if v = None then [] else Ibuf.to_list sc.s_steps);
@@ -541,36 +530,49 @@ let compact_entries (entries : Sleep_set.entry array) am =
     out
   end
 
-(* Children of a completed run: deviations strictly after its prefix
+(* Children of a completed, violation-free run, read from the scratch
+   [sc] the run just filled: deviations strictly after its prefix
    (siblings at earlier points were enumerated by ancestors). Walked in
    reverse so a LIFO consumer extends the earliest choice point first —
-   depth-first order. Free-switch siblings keep the
-   item's preemption level, preempting siblings get level + 1; [emit]
-   routes on [preempts]. In DPOR mode the alternatives come from the
-   awake mask (sleeping tids are covered by construction), each node's
-   children share one freshly compacted inherited-sleep array, and one
-   sibling group seeded with the parent-chosen edge. *)
-let iter_children r ~dpor ~emit =
-  let len = Array.length r.ru_choices in
-  for i = len - 1 downto r.ru_plen do
-    let info = r.ru_info.(i) in
+   depth-first order. Free-switch siblings keep the item's preemption
+   level, preempting siblings get level + 1; [emit] routes on
+   [preempts]. With [~preempting:false] (the search is at its last
+   level, so no level + 1 ever runs) preempting siblings are not built
+   at all: at a point whose previous thread is still runnable the only
+   free switch is back to it.
+
+   The children share one copy of the run's choices, taken at the first
+   emit, so a run without children copies nothing. In DPOR mode the
+   alternatives come from the awake mask (sleeping tids are covered by
+   construction), each node's children share one freshly compacted
+   inherited-sleep array, and one sibling group seeded with the
+   parent-chosen edge. *)
+let iter_children sc r ~dpor ~preempting ~emit =
+  let choices = ref [||] in
+  for i = sc.s_choices.len - 1 downto r.ru_plen do
+    let info = sc.s_info.a.(i) in
     let rmask = info land low_mask in
     let prev = (info lsr mask_bits) - 1 in
-    let chosen = r.ru_choices.(i) in
+    let chosen = sc.s_choices.a.(i) in
     let cand =
-      (if dpor then r.ru_awake.(i) else rmask) land lnot (1 lsl chosen)
+      (if dpor then sc.s_awake.a.(i) else rmask) land lnot (1 lsl chosen)
+    in
+    let prev_runnable = prev >= 0 && (rmask lsr prev) land 1 = 1 in
+    let cand =
+      if preempting || not prev_runnable then cand else cand land (1 lsl prev)
     in
     if cand <> 0 then begin
+      if Array.length !choices = 0 then choices := Ibuf.to_array sc.s_choices;
       let sleep, group =
         if not dpor then ([||], None)
         else begin
-          let fp = r.ru_fps.(i) in
+          let fp = Vec.get sc.s_fps i in
           (* Every recorded choice point's quantum executed, so its
              footprint was finalized; the guard is belt-and-braces. *)
           let fp =
             if Array.length fp = 0 then Sleep_set.empty_conservative else fp
           in
-          ( compact_entries r.ru_entries r.ru_alive.(i),
+          ( compact_entries r.ru_entries sc.s_alive.a.(i),
             Some (Sleep_set.group_create { Sleep_set.tid = chosen; fp }) )
         end
       in
@@ -578,18 +580,15 @@ let iter_children r ~dpor ~emit =
       while !m <> 0 do
         let alt = popcount ((!m land - !m) - 1) in
         m := !m land (!m - 1);
-        let preempts =
-          prev >= 0 && alt <> prev && (rmask lsr prev) land 1 = 1
-        in
         emit
           {
-            it_choices = r.ru_choices;
+            it_choices = !choices;
             it_dev = i;
             it_alt = alt;
             it_sleep = sleep;
             it_group = group;
           }
-          ~preempts
+          ~preempts:(prev_runnable && alt <> prev)
       done
     end
   done
@@ -898,7 +897,9 @@ let explore ?(config = default_config) target =
             Work_queue.stop q
           | None ->
             let same = ref [] and next = ref [] in
-            iter_children r ~dpor ~emit:(fun c ~preempts ->
+            iter_children sc r ~dpor
+              ~preempting:(level < config.max_preemptions)
+              ~emit:(fun c ~preempts ->
                 if preempts then next := c :: !next else same := c :: !same);
             Work_queue.push q !same;
             if !next <> [] then begin
@@ -931,8 +932,8 @@ let explore ?(config = default_config) target =
     if not (Atomic.get cancel) then maybe_report ();
     if not (Atomic.get cancel || Atomic.get budget_out) then begin
       levels_completed := level + 1;
-      if level < config.max_preemptions && !deferred <> [] then
-        search_level (level + 1) (List.rev !deferred)
+      (* Nothing is deferred at level [max_preemptions]. *)
+      if !deferred <> [] then search_level (level + 1) (List.rev !deferred)
     end
   in
   if config.max_preemptions >= 0 then search_level 0 [ root_item ];

@@ -144,7 +144,10 @@ type progress = {
   pg_runs : int;
   pg_states : int;
   pg_frontier : int;  (** unexplored prefixes left at this level *)
-  pg_deferred : int;  (** prefixes already seeded for the next level *)
+  pg_deferred : int;
+      (** prefixes already seeded for the next level: only children a
+          later level will run, so always [0] at level
+          [max_preemptions], where no preempting child is built *)
   pg_budget_left : int;  (** runs remaining in [max_runs] *)
   pg_per_domain_runs : int array;  (** runs per worker domain so far *)
 }

@@ -22,10 +22,15 @@
      stall/resume write the global pseudo-location: hazard arrays,
      epoch counters etc. live outside the simulated heap, so per-slot
      precision is not observable here.
-   - A quantum that emitted {e nothing} attributable gets a global
-     write: schemes also mutate invisible state on event-free quanta
-     (e.g. HP clearing its slots after a bare fence), and treating such
-     quanta as independent of everything would be unsound.
+   - Operation events ([Invoke]/[Response]) write the history
+     pseudo-location: their cross-thread order is the real-time order
+     the linearizability check judges, so two quanta that both start or
+     end an operation never commute.
+   - A quantum that emitted nothing attributable besides history
+     entries gets a global write: schemes also mutate invisible state on
+     event-free quanta (e.g. HP clearing its slots after a bare fence),
+     and treating such quanta as independent of everything would be
+     unsound.
 
    Conservative entries only cost reduction, never soundness: a false
    conflict wakes a sleeping thread early, re-exploring an equivalent
@@ -37,12 +42,15 @@ module Vec = Era_sim.Vec
 type footprint = int array
 
 (* Entry layout: [loc * 2 + is_write] with [loc = (addr + 1) * 10 +
-   fcode]; [loc = 0] is the global pseudo-location. *)
+   fcode]; [loc = 0] is the global pseudo-location and [loc = 1] the
+   history one (no cell has address -1, and locations below 10 never
+   alias a cell's whole-cell entry). *)
 let fc_field f = f land 7 (* per-field code, 0..7 *)
 let fc_key = 8
 let fc_all = 9 (* whole-cell: alloc / retire / reclaim / share *)
 let pack ~addr ~fcode ~w = (((((addr + 1) * 10) + fcode) * 2) + w : int)
 let global_write = 1 (* loc 0, write *)
+let history_write = 3 (* loc 1, write *)
 
 let entry_conflicts a b =
   (a land 1 <> 0 || b land 1 <> 0)
@@ -89,23 +97,26 @@ let record (b : builder) (ev : Event.t) =
     Vec.push b global_write
   | Protect _ | Epoch _ | Neutralize _ | Stalled _ | Resumed _ ->
     Vec.push b global_write
-  | Violation _ | Invoke _ | Response _ | Label _ | Note _ -> ()
+  | Invoke _ | Response _ -> Vec.push b history_write
+  | Violation _ | Label _ | Note _ -> ()
 
 (* Tags the explorer subscribes the [record] hook to. *)
 let tags =
   Event.[
     tag_alloc; tag_share; tag_retire; tag_reclaim; tag_access;
     tag_key_read; tag_protect; tag_epoch; tag_neutralize; tag_stalled;
-    tag_resumed;
+    tag_resumed; tag_invoke; tag_response;
   ]
 
 let empty_conservative : footprint = [| global_write |]
 
 let finalize (b : builder) : footprint =
-  let n = Vec.length b in
-  if n = 0 then empty_conservative
+  if Vec.length b = 0 then empty_conservative
   else begin
-    let fp = Array.init n (Vec.get b) in
+    (* History entries alone leave the quantum unattributed. *)
+    if not (Vec.exists (fun e -> e <> history_write) b) then
+      Vec.push b global_write;
+    let fp = Array.init (Vec.length b) (Vec.get b) in
     Vec.clear b;
     fp
   end

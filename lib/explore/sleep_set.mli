@@ -32,6 +32,13 @@ val global_write : int
     (allocator / scheme state); conflicts with every other global
     entry. *)
 
+val history_write : int
+(** The packed entry every [Invoke] and [Response] records: a write to
+    the history pseudo-location, so quanta that both start or end an
+    operation conflict — their order is the real-time order a
+    linearizability check judges. Conflicts only with other history
+    entries. *)
+
 val empty_conservative : footprint
 (** The footprint assigned to a quantum that emitted no attributable
     event: a single global write. Schemes mutate hook-invisible state
@@ -54,7 +61,9 @@ val tags : int list
 
 val finalize : builder -> footprint
 (** Cut the footprint accumulated since the last [finalize]/[reset] and
-    clear the builder. An empty builder yields {!empty_conservative}. *)
+    clear the builder. An empty builder yields {!empty_conservative}; a
+    builder holding only {!history_write} entries gets {!global_write}
+    added, since history entries say nothing about scheme state. *)
 
 (** {2 Sleep entries} *)
 

@@ -55,3 +55,9 @@ val run_job : store:Store.t -> Job.t -> unit
     artifact listed in the result. Never raises: a run or a store put
     that raises ends the job [Failed] with the error as its note.
     Exposed for tests and for running without a pool. *)
+
+val finish : Job.t -> Job.status * string * (string * string) list -> unit
+(** [finish job (status, note, artifacts)] is the terminal flip alone,
+    the last step of {!run_job}: one {!Job.publish} that sets [status],
+    [finished_s] and the result together, so no snapshot pairs a
+    terminal status with a missing result. Exposed for tests. *)

@@ -91,16 +91,18 @@ let cell_of_addr t addr =
     invalid_arg (Fmt.str "Heap: address %d out of range" addr)
   else Vec.get t.cells addr
 
+(* Validity of [p] against the cell at its address (Definition 4.1). *)
+let cell_validity c (p : Word.ptr) =
+  if c.in_system then Invalid_system
+  else if c.node <> p.node then Invalid_reused
+  else if Lifecycle.equal c.state Lifecycle.Unallocated then
+    Invalid_unallocated
+  else Valid
+
 let validity t w =
   match w with
   | Word.Null | Word.Int _ -> invalid_arg "Heap.validity: not a pointer"
-  | Word.Ptr p ->
-    let c = cell_of_addr t p.addr in
-    if c.in_system then Invalid_system
-    else if c.node <> p.node then Invalid_reused
-    else if Lifecycle.equal c.state Lifecycle.Unallocated then
-      Invalid_unallocated
-    else Valid
+  | Word.Ptr p -> cell_validity (cell_of_addr t p.addr) p
 
 let is_valid t w = validity t w = Valid
 
@@ -219,19 +221,25 @@ let reclaim t ~tid w =
 (* Accesses                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let deref_cell t ~tid w =
-  match w with
+(* Every access starts here: [deref_ptr] unwraps the pointer, [deref_cell]
+   looks its cell up once and reports the dereference's own violations,
+   stale pointer first, then system space. The caller takes the access's
+   validity from the returned cell with [cell_validity]. Short of a
+   violation, nothing on this path is boxed. *)
+let deref_ptr = function
   | Word.Null -> invalid_arg "Heap: dereference of null (data-structure bug)"
   | Word.Int _ -> invalid_arg "Heap: dereference of integer"
-  | Word.Ptr p ->
-    let v = validity t w in
-    if Word.is_stale w then
-      violate t ~tid Event.Stale_value_used
-        (Fmt.str "dereference of stale pointer %a" Word.pp w);
-    if v = Invalid_system then
-      violate t ~tid Event.System_space_access
-        (Fmt.str "access to system space via %a" Word.pp w);
-    (cell_of_addr t p.addr, p, v)
+  | Word.Ptr p -> p
+
+let deref_cell t ~tid (p : Word.ptr) =
+  let c = cell_of_addr t p.addr in
+  if p.stale then
+    violate t ~tid Event.Stale_value_used
+      (Fmt.str "dereference of stale pointer %a" Word.pp (Word.Ptr p));
+  if c.in_system then
+    violate t ~tid Event.System_space_access
+      (Fmt.str "access to system space via %a" Word.pp (Word.Ptr p));
+  c
 
 let check_field c field =
   if field < 0 || field >= Array.length c.ptrs then
@@ -260,7 +268,9 @@ let promote_if_shared t ~tid via_cell stored =
   | Word.Ptr _ | Word.Null | Word.Int _ -> ()
 
 let read_checked t ~tid ~via ~field =
-  let c, p, v = deref_cell t ~tid via in
+  let p = deref_ptr via in
+  let c = deref_cell t ~tid p in
+  let v = cell_validity c p in
   check_field c field;
   let unsafe = v <> Valid in
   emit_access t ~tid ~p ~field ~kind:Event.Read ~unsafe;
@@ -273,7 +283,9 @@ let read_checked t ~tid ~via ~field =
   else c.ptrs.(field)
 
 let peek t ~tid ~via ~field =
-  let c, p, v = deref_cell t ~tid via in
+  let p = deref_ptr via in
+  let c = deref_cell t ~tid p in
+  let v = cell_validity c p in
   check_field c field;
   let unsafe = v <> Valid in
   emit_access t ~tid ~p ~field ~kind:Event.Read ~unsafe;
@@ -281,7 +293,9 @@ let peek t ~tid ~via ~field =
   ((if unsafe then Word.taint w else w), v)
 
 let read_key_checked t ~tid ~via =
-  let c, p, v = deref_cell t ~tid via in
+  let p = deref_ptr via in
+  let c = deref_cell t ~tid p in
+  let v = cell_validity c p in
   let unsafe = v <> Valid in
   Monitor.emit_key_read t.mon ~tid ~addr:p.addr ~node:p.node ~unsafe;
   if unsafe then
@@ -290,7 +304,9 @@ let read_key_checked t ~tid ~via =
   c.key
 
 let peek_key t ~tid ~via =
-  let c, p, v = deref_cell t ~tid via in
+  let p = deref_ptr via in
+  let c = deref_cell t ~tid p in
+  let v = cell_validity c p in
   let unsafe = v <> Valid in
   Monitor.emit_key_read t.mon ~tid ~addr:p.addr ~node:p.node ~unsafe;
   (c.key, v)
@@ -301,7 +317,9 @@ let check_stored_value t ~tid w =
       (Fmt.str "stale value %a stored to shared memory" Word.pp w)
 
 let write_checked t ~tid ~via ~field value =
-  let c, p, v = deref_cell t ~tid via in
+  let p = deref_ptr via in
+  let c = deref_cell t ~tid p in
+  let v = cell_validity c p in
   check_field c field;
   check_stored_value t ~tid value;
   let unsafe = v <> Valid in
@@ -315,7 +333,9 @@ let write_checked t ~tid ~via ~field value =
   end
 
 let cas_gen ~compare_identity t ~tid ~via ~field ~expected ~desired =
-  let c, p, v = deref_cell t ~tid via in
+  let p = deref_ptr via in
+  let c = deref_cell t ~tid p in
+  let v = cell_validity c p in
   check_field c field;
   check_stored_value t ~tid expected;
   check_stored_value t ~tid desired;
@@ -365,7 +385,9 @@ let check_aux_field t field =
     invalid_arg (Fmt.str "Heap: aux field %d out of range" field)
 
 let aux_get t ~tid ~via ~field =
-  let c, p, v = deref_cell t ~tid via in
+  let p = deref_ptr via in
+  let c = deref_cell t ~tid p in
+  let v = cell_validity c p in
   check_aux_field t field;
   let unsafe = v <> Valid in
   emit_access t ~tid ~p ~field ~kind:Event.Read ~unsafe;
@@ -373,7 +395,9 @@ let aux_get t ~tid ~via ~field =
   ((if unsafe then Word.taint w else w), v)
 
 let aux_set t ~tid ~via ~field value =
-  let c, p, v = deref_cell t ~tid via in
+  let p = deref_ptr via in
+  let c = deref_cell t ~tid p in
+  let v = cell_validity c p in
   check_aux_field t field;
   let unsafe = v <> Valid in
   emit_access t ~tid ~p ~field ~kind:Event.Write ~unsafe;
@@ -383,7 +407,9 @@ let aux_set t ~tid ~via ~field value =
   else c.aux.(field) <- value
 
 let aux_cas t ~tid ~via ~field ~expected ~desired =
-  let c, p, v = deref_cell t ~tid via in
+  let p = deref_ptr via in
+  let c = deref_cell t ~tid p in
+  let v = cell_validity c p in
   check_aux_field t field;
   let unsafe = v <> Valid in
   let current = c.aux.(field) in

@@ -1,12 +1,5 @@
 type mode = [ `Raise | `Record ]
 
-type sample = {
-  time : int;
-  active : int;
-  retired : int;
-  max_active : int;
-}
-
 type hook = int -> Event.t -> unit
 
 type t = {
@@ -14,7 +7,6 @@ type t = {
   keep_trace : bool;
   events : Event.t Vec.t;
   viols : Event.t Vec.t;
-  samps : sample Vec.t;
   kind_hooks : hook list array;  (* per Event.tag, newest first *)
   mutable hook_mask : int;  (* bit [tag] set iff kind_hooks.(tag) <> [] *)
   mutable time : int;
@@ -32,7 +24,6 @@ let create ?(mode = `Raise) ?(trace = true) () =
     keep_trace = trace;
     events = Vec.create ();
     viols = Vec.create ();
-    samps = Vec.create ();
     kind_hooks = Array.make Event.n_tags [];
     hook_mask = 0;
     time = 0;
@@ -69,25 +60,16 @@ let unsubscribe t f =
 let observed t ~tag =
   t.keep_trace || (t.hook_mask lsr tag) land 1 = 1
 
-let sample t =
-  Vec.push t.samps
-    { time = t.time; active = t.active; retired = t.retired;
-      max_active = t.max_active }
-
 let update_counts t (ev : Event.t) =
   match ev with
   | Alloc _ ->
     t.active <- t.active + 1;
-    if t.active > t.max_active then t.max_active <- t.active;
-    sample t
+    if t.active > t.max_active then t.max_active <- t.active
   | Retire _ ->
     t.active <- t.active - 1;
     t.retired <- t.retired + 1;
-    if t.retired > t.max_retired then t.max_retired <- t.retired;
-    sample t
-  | Reclaim _ ->
-    t.retired <- t.retired - 1;
-    sample t
+    if t.retired > t.max_retired then t.max_retired <- t.retired
+  | Reclaim _ -> t.retired <- t.retired - 1
   | Share _ | Access _ | Key_read _ | Violation _ | Invoke _ | Response _
   | Label _ | Protect _ | Epoch _ | Neutralize _ | Stalled _ | Resumed _
   | Note _ ->
@@ -141,6 +123,5 @@ let max_retired t = t.max_retired
 let violations t = Vec.to_list t.viols
 let first_violation t = if Vec.length t.viols = 0 then None else Some (Vec.get t.viols 0)
 let violation_count t = Vec.length t.viols
-let samples t = Vec.to_list t.samps
 let trace t = Vec.to_list t.events
 let find_last t p = Vec.find_last p t.events

@@ -6,22 +6,14 @@
       or are recorded ([`Record] mode, for the adversarial constructions of
       Figures 1–2 that deliberately drive a scheme into an unsafe access).
     - Robustness (Definitions 5.1, 5.2): the monitor maintains
-      [active]/[retired] counts and their running maxima, and samples
-      [(time, active, retired, max_active)] at every count change, so a
-      classifier can fit the retired-count bound against
-      [max_active · N]. *)
+      [active]/[retired] counts and their running maxima, so a
+      classifier can compare the retired backlog against
+      [max_active · N]. Counting allocates nothing. *)
 
 type mode =
   [ `Raise  (** raise {!Violation} on the first safety violation *)
   | `Record  (** record violations and keep executing *)
   ]
-
-type sample = {
-  time : int;
-  active : int;
-  retired : int;
-  max_active : int;
-}
 
 type t
 
@@ -29,7 +21,7 @@ exception Violation of Event.t
 
 val create : ?mode:mode -> ?trace:bool -> unit -> t
 (** [trace] (default [true]) keeps the full event list in memory; disable
-    for long robustness sweeps. Counters and samples are kept regardless. *)
+    for long robustness sweeps. Counters are kept regardless. *)
 
 val emit : t -> Event.t -> unit
 (** Feed one event. Updates counters; dispatches to hooks subscribed to
@@ -81,18 +73,21 @@ val time : t -> int
 (** Number of events emitted so far — the simulated step clock. *)
 
 val active : t -> int
+(** Nodes allocated and not yet retired. *)
+
 val retired : t -> int
+(** Nodes retired and not yet reclaimed: the backlog Definition 5.1
+    bounds. *)
+
 val max_active : t -> int
 val max_retired : t -> int
+(** Running maxima of {!active} and {!retired} over the execution. *)
 
 val violations : t -> Event.t list
 (** All recorded violations, oldest first. *)
 
 val first_violation : t -> Event.t option
 val violation_count : t -> int
-
-val samples : t -> sample list
-(** Robustness samples, oldest first. *)
 
 val trace : t -> Event.t list
 (** Full trace, oldest first; [[]] if tracing was disabled. *)

@@ -21,13 +21,16 @@ let mark = function
   | Ptr p -> Ptr { p with marked = true }
   | Null | Int _ -> invalid_arg "Word.mark: not a pointer"
 
+(* Both return the word itself when the bit already has the requested
+   value: list traversals unmark every successor they read, and almost
+   none is marked. *)
 let unmark = function
-  | Ptr p -> Ptr { p with marked = false }
-  | (Null | Int _) as w -> w
+  | Ptr p when p.marked -> Ptr { p with marked = false }
+  | (Null | Int _ | Ptr _) as w -> w
 
 let taint = function
-  | Ptr p -> Ptr { p with stale = true }
-  | (Null | Int _) as w -> w
+  | Ptr p when not p.stale -> Ptr { p with stale = true }
+  | (Null | Int _ | Ptr _) as w -> w
 
 let is_stale = function Ptr p -> p.stale | Null | Int _ -> false
 

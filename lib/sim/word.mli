@@ -45,13 +45,14 @@ val mark : t -> t
 (** Set the mark bit. Raises [Invalid_argument] on non-pointers. *)
 
 val unmark : t -> t
-(** Clear the mark bit; identity on [Null]/[Int]. *)
+(** Clear the mark bit; identity on [Null]/[Int] and on unmarked
+    pointers, which are returned without a copy. *)
 
 val taint : t -> t
 (** Set the stale bit on pointers; identity on [Null]/[Int _] is {e not}
     taken — integers read unsafely are replaced by [Int] with no taint
-    carrier, so the heap tracks integer staleness separately. On [Null]
-    and [Int] this returns the word unchanged. *)
+    carrier, so the heap tracks integer staleness separately. On [Null],
+    [Int] and an already stale pointer this returns the word unchanged. *)
 
 val is_stale : t -> bool
 

@@ -463,6 +463,68 @@ let test_cover_cell_2d () =
   Alcotest.(check bool) "2-domain runs the sequential schedules" true
     (par.Ex.res_schedules = seq.Ex.res_schedules)
 
+(* No child is built past the preemption bound: at level
+   [max_preemptions] a run's preempting children would only be queued
+   for a level that never runs. The final heartbeat of each level
+   reports the children deferred to the next one: every preempting
+   child of levels 0 and 1, none at level 2. The counts are the
+   classic cover cell's, and the search still runs its golden runs. *)
+let test_cover_cell_deferred () =
+  let last = Hashtbl.create 3 in
+  let config =
+    {
+      cover_config with
+      Ex.progress_every = 1;
+      on_progress =
+        Some (fun p -> Hashtbl.replace last p.Ex.pg_level p.Ex.pg_deferred);
+    }
+  in
+  let r = Ex.explore ~config (Lazy.force cover_target) in
+  Alcotest.(check (list (option int))) "deferred at the end of levels 0-2"
+    [ Some 149; Some 10_717; Some 0 ]
+    (List.map (Hashtbl.find_opt last) [ 0; 1; 2 ]);
+  Alcotest.(check (list int)) "runs/states" [ 10_868; 1_704_354 ]
+    [ r.Ex.res_stats.Ex.runs; r.Ex.res_stats.Ex.states ]
+
+(* DPOR on lincheck targets: the cross-thread order of Invoke and
+   Response events is the real-time order the linearizability check
+   judges, so two quanta that both start or end an operation must not
+   commute, even when their heap accesses are disjoint; and a quantum
+   whose only entries are history entries still gets the conservative
+   global write. *)
+let test_sleep_set_history () =
+  let module S = Era_explore.Sleep_set in
+  let module E = Era_sim.Event in
+  let op = { E.name = "insert"; args = [ 1 ] } in
+  let fp events =
+    let b = S.builder () in
+    List.iter (S.record b) events;
+    S.finalize b
+  in
+  let read addr =
+    E.Access
+      { tid = 0; addr; node = addr; field = 0; kind = E.Read; unsafe = false }
+  in
+  let invoke = E.Invoke { tid = 0; opid = 1; op } in
+  let response = E.Response { tid = 1; opid = 2; op; result = E.R_bool true } in
+  Alcotest.(check bool) "disjoint reads commute" false
+    (S.conflicts (fp [ read 1 ]) (fp [ read 2 ]));
+  Alcotest.(check bool) "an invoke and a response do not commute" true
+    (S.conflicts (fp [ read 1; invoke ]) (fp [ read 2; response ]));
+  Alcotest.(check bool) "history entries leave heap reads independent" false
+    (S.conflicts (fp [ read 1; invoke ]) (fp [ read 2 ]));
+  let b = S.builder () in
+  S.record b invoke;
+  let only_history = S.finalize b in
+  Alcotest.(check bool) "a history-only quantum writes the global location"
+    true
+    (Array.mem S.global_write only_history
+    && Array.mem S.history_write only_history);
+  Alcotest.(check bool) "so it conflicts with scheme state" true
+    (S.conflicts only_history (fp [ E.Epoch { value = 1 } ]));
+  Alcotest.(check bool) "and the next quantum starts empty" true
+    (S.finalize b == S.empty_conservative)
+
 (* The built-in twin of the QCheck schedule property: the EBR Harris
    cell (no violation, so nothing cuts the search short) searched to
    bound 2. Every worker count must run exactly the sequential multiset
@@ -987,6 +1049,10 @@ let () =
             `Quick test_parallel_schedule_set;
           Alcotest.test_case "cover cell at 2 domains" `Quick
             test_cover_cell_2d;
+          Alcotest.test_case "no children built past the bound" `Quick
+            test_cover_cell_deferred;
+          Alcotest.test_case "dpor: operation events never commute" `Quick
+            test_sleep_set_history;
         ] );
       ( "parallel-qcheck",
         [

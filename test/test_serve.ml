@@ -445,45 +445,45 @@ let test_run_job_probe () =
    worker domain while daemon threads summarise the job for pollers and
    followers. A summary must never pair a terminal status with a missing
    result: a poller that sees "done" stops polling, so a torn summary is
-   a lost job. Probe jobs finish in microseconds, so one domain runs
-   them back to back while a second polls the latest one. *)
+   a lost job. One domain drives the executor's terminal publish on
+   fresh jobs back to back while a second polls the latest one. The
+   loop calls [Executor.finish], not [run_job]: a whole run also stores
+   its heartbeats artifact, and that disk write would leave the poller
+   only a fraction of the summaries it is meant to judge. *)
 let test_summary_never_torn () =
-  with_store (fun store ->
-      let probe = Job.Probe { spin = 0 } in
-      let current = Atomic.make (Job.make ~id:0 ~tenant:"t" probe) in
-      let stop = Atomic.make false and terminal = Atomic.make 0 in
-      let poller () =
-        let torn = ref 0 in
-        while not (Atomic.get stop) do
-          let s = Job.summary_to_json (Atomic.get current) in
-          let str k = Option.bind (Json.member k s) Json.to_str in
-          match Option.bind (str "status") Job.status_of_name with
-          | Some st when Job.terminal st ->
-            Atomic.incr terminal;
-            if str "note" = Some "" then incr torn
-          | _ -> ()
-        done;
-        !torn
-      in
-      let d = Domain.spawn poller in
-      (* Run jobs until the poller has judged enough terminal summaries,
-         however the two domains get scheduled; the deadline only bounds
-         a starved poller. *)
-      let t0 = Unix.gettimeofday () in
-      let id = ref 0 in
-      while
-        Atomic.get terminal < 10_000 && Unix.gettimeofday () -. t0 < 2.
-      do
-        incr id;
-        let j = Job.make ~id:!id ~tenant:"t" probe in
-        Atomic.set current j;
-        Executor.run_job ~store j
-      done;
-      Atomic.set stop true;
-      let torn = Domain.join d in
-      Alcotest.(check bool) "the poller saw terminal summaries" true
-        (Atomic.get terminal > 0);
-      Alcotest.(check int) "terminal summaries missing their result" 0 torn)
+  let probe = Job.Probe { spin = 0 } in
+  let current = Atomic.make (Job.make ~id:0 ~tenant:"t" probe) in
+  let stop = Atomic.make false and terminal = Atomic.make 0 in
+  let poller () =
+    let torn = ref 0 in
+    while not (Atomic.get stop) do
+      let s = Job.summary_to_json (Atomic.get current) in
+      let str k = Option.bind (Json.member k s) Json.to_str in
+      match Option.bind (str "status") Job.status_of_name with
+      | Some st when Job.terminal st ->
+        Atomic.incr terminal;
+        if str "note" = Some "" then incr torn
+      | _ -> ()
+    done;
+    !torn
+  in
+  let d = Domain.spawn poller in
+  (* Finish jobs until the poller has judged enough terminal summaries,
+     however the two domains get scheduled; the deadline only bounds a
+     starved poller. *)
+  let t0 = Unix.gettimeofday () in
+  let id = ref 0 in
+  while Atomic.get terminal < 10_000 && Unix.gettimeofday () -. t0 < 2. do
+    incr id;
+    let j = Job.make ~id:!id ~tenant:"t" probe in
+    Atomic.set current j;
+    Executor.finish j (Job.Done, "probe done", [])
+  done;
+  Atomic.set stop true;
+  let torn = Domain.join d in
+  Alcotest.(check bool) "the poller judged 10,000 terminal summaries" true
+    (Atomic.get terminal >= 10_000);
+  Alcotest.(check int) "terminal summaries missing their result" 0 torn
 
 let test_run_job_explore_artifacts () =
   with_store (fun store ->

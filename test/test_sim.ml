@@ -379,20 +379,25 @@ let test_monitor_raise_mode () =
     | _ -> false
     | exception Monitor.Violation _ -> true)
 
-let test_monitor_samples () =
+(* The counts follow every Alloc/Retire/Reclaim and the maxima keep
+   their peaks after the counts fall back. *)
+let test_monitor_maxima () =
   let m = mon () in
   let h = Heap.create m in
   let a = Heap.alloc h ~tid:0 ~key:1 in
   let b = Heap.alloc h ~tid:0 ~key:2 in
   Heap.retire h ~tid:0 a;
   Heap.retire h ~tid:0 b;
-  Alcotest.(check int) "max_active" 2 (Monitor.max_active m);
-  Alcotest.(check int) "max_retired" 2 (Monitor.max_retired m);
-  let samples = Monitor.samples m in
-  Alcotest.(check int) "one sample per count change" 4 (List.length samples);
-  let last = List.nth samples 3 in
-  Alcotest.(check int) "final retired" 2 last.Monitor.retired;
-  Alcotest.(check int) "final active" 0 last.Monitor.active
+  Alcotest.(check (list int)) "active/retired after two retires" [ 0; 2 ]
+    [ Monitor.active m; Monitor.retired m ];
+  Heap.reclaim h ~tid:0 a;
+  Heap.reclaim h ~tid:0 b;
+  let c = Heap.alloc h ~tid:0 ~key:3 in
+  Heap.retire h ~tid:0 c;
+  Alcotest.(check (list int)) "active/retired at the end" [ 0; 1 ]
+    [ Monitor.active m; Monitor.retired m ];
+  Alcotest.(check int) "max_active keeps its peak" 2 (Monitor.max_active m);
+  Alcotest.(check int) "max_retired keeps its peak" 2 (Monitor.max_retired m)
 
 let test_monitor_subscribe () =
   let m = mon () in
@@ -475,7 +480,8 @@ let () =
       ( "monitor",
         [
           Alcotest.test_case "raise mode" `Quick test_monitor_raise_mode;
-          Alcotest.test_case "samples" `Quick test_monitor_samples;
+          Alcotest.test_case "active/retired maxima" `Quick
+            test_monitor_maxima;
           Alcotest.test_case "subscribe" `Quick test_monitor_subscribe;
           Alcotest.test_case "unsubscribe during emit" `Quick
             test_monitor_unsubscribe_during_emit;
