@@ -250,7 +250,6 @@ type scratch = {
   s_steps : Ibuf.t;
   s_fps : Sleep_set.footprint Vec.t;  (* DPOR: chosen quantum footprints *)
   s_builder : Sleep_set.builder;
-  mutable s_buf : int array;  (* runnable-tid scratch *)
 }
 
 let scratch () =
@@ -262,7 +261,6 @@ let scratch () =
     s_steps = Ibuf.create ();
     s_fps = Vec.create ();
     s_builder = Sleep_set.builder ();
-    s_buf = [||];
   }
 
 (* Sleep entries carried into one run are capped so the alive set fits
@@ -393,75 +391,55 @@ let run_one target ~dpor ~mutate_groups ~max_steps ~cancel ~item sc =
     if !sleep_cut || !(!viol) <> None || !nsteps >= max_steps || cancel ()
     then -1
     else begin
-      begin
-        if Array.length sc.s_buf = 0 then
-          sc.s_buf <- Array.make (max (Sched.nthreads sched) 1) 0;
-        let n = Sched.runnable_into sched sc.s_buf in
-        if n = 0 then -1
-        else begin
-          let rmask = ref 0 in
-          for k = 0 to n - 1 do
-            rmask := !rmask lor (1 lsl sc.s_buf.(k))
-          done;
-          let rmask = !rmask in
-          let awake =
-            if dpor && !after_dev then
-              rmask land lnot (Sleep_set.tid_mask entries !alive)
-            else rmask
-          in
-          if n = 1 then begin
-            if awake = 0 then begin
-              sleep_cut := true;
-              -1
-            end
-            else begin
-              let t = sc.s_buf.(0) in
-              push t;
-              t
-            end
-          end
-          else if awake = 0 then begin
-            sleep_cut := true;
-            -1
-          end
-          else begin
-            let chosen =
-              if !ndec < plen then
-                if !ndec = item.it_dev then item.it_alt
-                else item.it_choices.(!ndec)
-              else if !last >= 0 && (awake lsr !last) land 1 = 1 then !last
-              else begin
-                (* lowest awake runnable tid (= [List.hd] of the old
-                   ascending runnable list in classic mode) *)
-                let rec first k =
-                  let t = sc.s_buf.(k) in
-                  if (awake lsr t) land 1 = 1 then t else first (k + 1)
-                in
-                first 0
-              end
-            in
-            if chosen < 0 || chosen >= mask_bits
-               || (rmask lsr chosen) land 1 = 0
-            then
-              invalid_arg
-                (Fmt.str
-                   "Explore: target %S is not schedule-deterministic \
-                    (prefix tid %d not runnable at choice point %d)"
-                   target.name chosen !ndec);
-            Ibuf.push sc.s_info (rmask lor ((!last + 1) lsl mask_bits));
-            Ibuf.push sc.s_choices chosen;
-            if dpor then begin
-              Ibuf.push sc.s_awake awake;
-              Ibuf.push sc.s_alive !alive;
-              Vec.push sc.s_fps [||];
-              pending_fp_at := !ndec
-            end;
-            incr ndec;
-            if !ndec = plen then after_dev := true;
-            push chosen;
-            chosen
-          end
-        end
+      (* The runnable set is the scheduler's mask, read without a scan.
+         An empty one ends the run and an all-asleep one is a sleep cut.
+         A single bit is a forced quantum, not a choice point, so it is
+         not recorded. Otherwise the tid comes from the prefix being
+         replayed, else the running thread if awake, else the lowest
+         awake tid. *)
+      let rmask = Sched.runnable_mask sched in
+      let awake =
+        if dpor && !after_dev then
+          rmask land lnot (Sleep_set.tid_mask entries !alive)
+        else rmask
+      in
+      if rmask = 0 then -1
+      else if awake = 0 then begin
+        sleep_cut := true;
+        -1
+      end
+      else if rmask land (rmask - 1) = 0 then begin
+        let t = Sched.lowest_tid rmask in
+        push t;
+        t
+      end
+      else begin
+        let chosen =
+          if !ndec < plen then
+            if !ndec = item.it_dev then item.it_alt
+            else item.it_choices.(!ndec)
+          else if !last >= 0 && (awake lsr !last) land 1 = 1 then !last
+          else Sched.lowest_tid awake
+        in
+        if chosen < 0 || chosen >= mask_bits || (rmask lsr chosen) land 1 = 0
+        then
+          invalid_arg
+            (Fmt.str
+               "Explore: target %S is not schedule-deterministic (prefix \
+                tid %d not runnable at choice point %d)"
+               target.name chosen !ndec);
+        Ibuf.push sc.s_info (rmask lor ((!last + 1) lsl mask_bits));
+        Ibuf.push sc.s_choices chosen;
+        if dpor then begin
+          Ibuf.push sc.s_awake awake;
+          Ibuf.push sc.s_alive !alive;
+          Vec.push sc.s_fps [||];
+          pending_fp_at := !ndec
+        end;
+        incr ndec;
+        if !ndec = plen then after_dev := true;
+        push chosen;
+        chosen
       end
     end
   in
@@ -505,17 +483,8 @@ let run_one target ~dpor ~mutate_groups ~max_steps ~cancel ~item sc =
 (* Child enumeration                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let popcount m =
-  let c = ref 0 in
-  let m = ref m in
-  while !m <> 0 do
-    incr c;
-    m := !m land (!m - 1)
-  done;
-  !c
-
 let compact_entries (entries : Sleep_set.entry array) am =
-  let n = popcount am in
+  let n = Sched.popcount am in
   if n = 0 then [||]
   else begin
     let out = Array.make n entries.(0) in
@@ -578,7 +547,7 @@ let iter_children sc r ~dpor ~preempting ~emit =
       in
       let m = ref cand in
       while !m <> 0 do
-        let alt = popcount ((!m land - !m) - 1) in
+        let alt = Sched.lowest_tid !m in
         m := !m land (!m - 1);
         emit
           {

@@ -59,14 +59,13 @@ and t = {
   mutable next_exn : exn option;  (* raised by that decision *)
   mutable switches : int;  (* fiber suspensions *)
   mutable q0 : int;  (* monitor time at quantum start, when hooked *)
-  mutable runnable_count : int;  (* #threads live and not stalled *)
+  mutable rmask : int;  (* bit tid set iff tid is live and not stalled *)
   strategy : strategy;
   mutable script : instr list;
   mutable instr_budget : int;  (* remaining quanta for the current instr *)
   step_events : Event.t Era_sim.Vec.t;  (* events of the current quantum *)
   step_hook : int -> Event.t -> unit;  (* pushes into [step_events] *)
   mutable step_hook_on : bool;  (* hook currently subscribed? *)
-  pick_buf : int array;  (* scratch for pick_random; length nthreads *)
   mutable quantum_hook : (int -> int -> int -> unit) option;
       (* observability: called after every quantum with
          (tid, monitor time before, monitor time after); [None] (the
@@ -83,6 +82,8 @@ and ctx = {
    trick: the .mli lists ctx first; OCaml allows any order with 'and'. *)
 
 let create ?(max_steps = 20_000_000) ~nthreads strategy heap =
+  if nthreads > 62 then
+    invalid_arg "Sched.create: at most 62 threads (runnable mask width)";
   let step_events = Era_sim.Vec.create () in
   let step_hook _time ev = Era_sim.Vec.push step_events ev in
   let t =
@@ -101,14 +102,13 @@ let create ?(max_steps = 20_000_000) ~nthreads strategy heap =
       next_exn = None;
       switches = 0;
       q0 = 0;
-      runnable_count = 0;
+      rmask = 0;
       strategy;
       script = (match strategy with Script s -> s | _ -> []);
       instr_budget = -1;
       step_events;
       step_hook;
       step_hook_on = false;
-      pick_buf = Array.make (max nthreads 1) 0;
       quantum_hook = None;
     }
   in
@@ -127,7 +127,7 @@ let spawn t ~tid body =
   | _ -> invalid_arg "Sched.spawn: thread already spawned");
   let ctx = { tid; heap = t.sim_heap; sched = t } in
   t.threads.(tid) <- Fresh (fun () -> body ctx);
-  if not t.stalled.(tid) then t.runnable_count <- t.runnable_count + 1
+  if not t.stalled.(tid) then t.rmask <- t.rmask lor (1 lsl tid)
 
 let external_ctx t ~tid = { tid; heap = t.sim_heap; sched = t }
 
@@ -152,8 +152,8 @@ let live t tid =
   | Fresh _ | Paused _ -> true
   | Not_spawned_s | Finished_s | Crashed_s _ -> false
 
-let runnable t tid = live t tid && not t.stalled.(tid)
-let runnable_count t = t.runnable_count
+let runnable t tid = (t.rmask lsr tid) land 1 = 1
+let runnable_mask t = t.rmask
 let current_tid t = t.current
 
 let runnable_tids t =
@@ -163,30 +163,27 @@ let runnable_tids t =
   done;
   !acc
 
-let runnable_into t buf =
-  let n = Array.length t.threads in
-  if Array.length buf < n then
-    invalid_arg "Sched.runnable_into: buffer shorter than nthreads";
-  let count = ref 0 in
-  for tid = 0 to n - 1 do
-    if runnable t tid then begin
-      buf.(!count) <- tid;
-      incr count
-    end
-  done;
-  !count
+(* Branch-free SWAR bit count; masks have at most 62 bits, so they are
+   never negative. *)
+let popcount m =
+  let m = m - ((m lsr 1) land 0x5555555555555555) in
+  let m = (m land 0x3333333333333333) + ((m lsr 2) land 0x3333333333333333) in
+  let m = (m + (m lsr 4)) land 0x0f0f0f0f0f0f0f0f in
+  ((m * 0x0101010101010101) lsr 56) land 0x7f
+
+let lowest_tid m = popcount ((m land -m) - 1)
 
 let stall t tid =
   if not t.stalled.(tid) then begin
     t.stalled.(tid) <- true;
-    if live t tid then t.runnable_count <- t.runnable_count - 1;
+    t.rmask <- t.rmask land lnot (1 lsl tid);
     Monitor.emit t.mon (Event.Stalled { tid })
   end
 
 let unstall t tid =
   if t.stalled.(tid) then begin
     t.stalled.(tid) <- false;
-    if live t tid then t.runnable_count <- t.runnable_count + 1;
+    if live t tid then t.rmask <- t.rmask lor (1 lsl tid);
     Monitor.emit t.mon (Event.Resumed { tid })
   end
 
@@ -277,8 +274,10 @@ let end_quantum t tid =
   | Script _ -> complete_instr t
   | Round_robin | Random _ | Controlled _ -> ()
 
+(* [step_events] only fills while the step hook is subscribed, and
+   [set_step_hook] empties it whenever the hook is toggled. *)
 let begin_quantum t tid =
-  Era_sim.Vec.clear t.step_events;
+  if t.step_hook_on then Era_sim.Vec.clear t.step_events;
   (match t.quantum_hook with
   | None -> ()
   | Some _ -> t.q0 <- Monitor.time t.mon);
@@ -288,39 +287,35 @@ let begin_quantum t tid =
 (* Strategies                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Both picks return the chosen tid, or -1 when nothing is runnable —
-   an option here would allocate a [Some] box on every quantum. *)
+(* Both picks read the runnable mask and return the chosen tid, or -1
+   when nothing is runnable — an option here would allocate a [Some]
+   box on every quantum. *)
 
+(* The first runnable tid at or after [rr_next], cyclically. *)
 let pick_round_robin t =
-  let n = Array.length t.threads in
-  let pick = ref (-1) in
-  let i = ref t.rr_next in
-  let remaining = ref n in
-  while !pick < 0 && !remaining > 0 do
-    let tid = !i mod n in
-    if runnable t tid then begin
-      t.rr_next <- tid + 1;
-      pick := tid
-    end;
-    incr i;
-    decr remaining
-  done;
-  !pick
+  let m = t.rmask in
+  if m = 0 then -1
+  else begin
+    let from = t.rr_next mod Array.length t.threads in
+    let above = m land lnot ((1 lsl from) - 1) in
+    let tid = lowest_tid (if above <> 0 then above else m) in
+    t.rr_next <- tid + 1;
+    tid
+  end
 
-(* Collect runnable tids into a reusable scratch buffer (ascending, the
-   order the old list-based version produced) and draw the same single
-   [Rng.int] over the same count — seeded schedules are bit-for-bit
-   unchanged, with zero allocation per quantum. *)
+(* One [Rng.int] over the runnable count, indexing the runnable tids in
+   ascending order: seeded schedules are the same as when the tids were
+   collected into a list. *)
 let pick_random t rng =
-  let n = Array.length t.threads in
-  let count = ref 0 in
-  for tid = 0 to n - 1 do
-    if runnable t tid then begin
-      t.pick_buf.(!count) <- tid;
-      incr count
-    end
-  done;
-  if !count = 0 then -1 else t.pick_buf.(Rng.int rng !count)
+  let m = t.rmask in
+  if m = 0 then -1
+  else begin
+    let m = ref m in
+    for _ = 1 to Rng.int rng (popcount !m) do
+      m := !m land (!m - 1)
+    done;
+    lowest_tid !m
+  end
 
 exception Stop of outcome
 
@@ -336,6 +331,7 @@ let or_stop t tid =
 
 let set_step_hook t on =
   if on <> t.step_hook_on then begin
+    Era_sim.Vec.clear t.step_events;
     if on then Monitor.subscribe t.mon t.step_hook
     else Monitor.unsubscribe t.mon t.step_hook;
     t.step_hook_on <- on
@@ -437,7 +433,7 @@ let label ctx name =
 
 let exit_thread t tid state =
   t.threads.(tid) <- state;
-  if not t.stalled.(tid) then t.runnable_count <- t.runnable_count - 1;
+  t.rmask <- t.rmask land lnot (1 lsl tid);
   end_quantum t tid
 
 (* Run [tid] from its resume point until it switches away or returns. *)

@@ -87,7 +87,8 @@ type thread_outcome =
 
 val create :
   ?max_steps:int -> nthreads:int -> strategy -> Era_sim.Heap.t -> t
-(** [max_steps] defaults to 20 million quanta. *)
+(** [max_steps] defaults to 20 million quanta. Raises [Invalid_argument]
+    when [nthreads > 62], the width of {!runnable_mask}. *)
 
 val spawn : t -> tid:int -> (ctx -> unit) -> unit
 val heap : t -> Era_sim.Heap.t
@@ -131,18 +132,23 @@ val switches : t -> int
     enumerate the scheduling choices available at the current
     configuration. None of them affect the schedule. *)
 
-val runnable_count : t -> int
+val runnable_mask : t -> int
+(** Bit [tid] is set iff [tid] is spawned, has not finished or crashed,
+    and is not stalled. Kept up to date at [spawn], [stall], [unstall]
+    and thread exit, so reading it costs no scan; every strategy picks
+    from it. This replaces the former [runnable_count] and
+    [runnable_into] accessors: the count is [popcount mask], and the
+    explorer's controller reads the tids off the mask directly. A [t]
+    is single-domain: exploration workers each own their scheduler. *)
 
 val runnable_tids : t -> int list
-(** Ascending. [runnable_tids t] is empty iff [runnable_count t = 0]. *)
+(** Ascending; the tids of {!runnable_mask}. *)
 
-val runnable_into : t -> int array -> int
-(** Allocation-free variant for per-quantum callers (the explorer's
-    controller): fill [buf] with the runnable tids in ascending order and
-    return their count. [buf] must have length at least [nthreads t].
-    Exploration workers on separate domains each own a private scheduler
-    and scratch buffer — a [t] itself is single-domain and must never be
-    shared across domains. *)
+val popcount : int -> int
+(** The number of set bits of a runnable mask. *)
+
+val lowest_tid : int -> int
+(** The lowest tid of a non-zero runnable mask. *)
 
 val current_tid : t -> int
 (** The tid being stepped right now; [-1] between quanta. In particular

@@ -2,12 +2,18 @@ open Era_sim
 module Sched = Era_sched.Sched
 module Mem = Era_sched.Mem
 
+(* The mark-bit test on every hop, matched in place rather than through
+   [Word] (see the note atop heap.ml). Outside the functor, so the
+   traversal closures do not capture it. *)
+let marked = function Word.Ptr p -> p.marked | Word.Null | Word.Int _ -> false
+
 module Make (S : Era_smr.Smr_intf.S) = struct
   let next = 0  (* the single pointer field *)
 
   type t = {
     head : Word.t;
     tail : Word.t;
+    tail_addr : int;
     scheme : S.t;
   }
 
@@ -21,14 +27,18 @@ module Make (S : Era_smr.Smr_intf.S) = struct
     let tail = Mem.alloc_sentinel ctx ~key:max_int in
     let head = Mem.alloc_sentinel ctx ~key:min_int in
     Mem.write ctx ~via:head ~field:next tail;
-    { head; tail; scheme }
+    { head; tail; tail_addr = Word.addr_exn tail; scheme }
 
   let head_word t = t.head
   let tail_word t = t.tail
   let handle dl ctx = { dl; s = S.thread dl.scheme ctx; ctx }
   let tctx h = h.s
 
-  let is_tail h w = Word.same_bits (Word.unmark w) h.dl.tail
+  (* The tail test on every hop, matched in place rather than through
+     [Word] (see the note atop heap.ml). *)
+  let is_tail h = function
+    | Word.Ptr p -> p.addr = h.dl.tail_addr
+    | Word.Null | Word.Int _ -> false
 
   (* Lines 1-22. The traversal (read phase) walks over marked nodes
      without unlinking them; the write window then either returns the
@@ -41,14 +51,16 @@ module Make (S : Era_smr.Smr_intf.S) = struct
     (* Inner do-while: find left (last unmarked before right) and right
        (first unmarked node with key >= search key, or tail). *)
     let rec find t t_next left left_next =
-      let left, left_next =
-        if not (Word.is_marked t_next) then (t, t_next) else (left, left_next)
+      let left, left_next, t' =
+        match t_next with
+        | Word.Ptr ({ marked = true; _ } as p) ->
+          (left, left_next, Word.Ptr { p with marked = false })
+        | Word.Ptr _ | Word.Null | Word.Int _ -> (t, t_next, t_next)
       in
-      let t' = Word.unmark t_next in
       if is_tail h t' then (left, left_next, t')
       else
         let t'_next = S.read h.s ~via:t' ~field:next in
-        if Word.is_marked t'_next || S.read_key h.s ~via:t' < key then
+        if marked t'_next || S.read_key h.s ~via:t' < key then
           find t' t'_next left left_next
         else (left, left_next, t')
     in
@@ -58,7 +70,7 @@ module Make (S : Era_smr.Smr_intf.S) = struct
     (* Lines 14-22: check adjacency, else unlink the marked run. *)
     if Word.same_bits left_next right then begin
       S.enter_write_phase h.s ~reserve:[ left; right ];
-      if (not (is_tail h right)) && Word.is_marked (S.read h.s ~via:right ~field:next)
+      if (not (is_tail h right)) && marked (S.read h.s ~via:right ~field:next)
       then search h key
       else (left, right)
     end
@@ -67,7 +79,7 @@ module Make (S : Era_smr.Smr_intf.S) = struct
       if S.cas h.s ~via:left ~field:next ~expected:left_next ~desired:right
       then
         if (not (is_tail h right))
-           && Word.is_marked (S.read h.s ~via:right ~field:next)
+           && marked (S.read h.s ~via:right ~field:next)
         then search h key
         else (left, right)
       else search h key
@@ -101,7 +113,7 @@ module Make (S : Era_smr.Smr_intf.S) = struct
           if is_tail h curr || S.read_key h.s ~via:curr <> key then false
           else begin
             let succ = S.read h.s ~via:curr ~field:next in
-            if Word.is_marked succ then loop ()  (* line 46 *)
+            if marked succ then loop ()  (* line 46 *)
             else if
               not
                 (S.cas h.s ~via:curr ~field:next ~expected:succ
@@ -128,7 +140,7 @@ module Make (S : Era_smr.Smr_intf.S) = struct
         let _, curr = search h key in
         if is_tail h curr then false
         else
-          (not (Word.is_marked (S.read h.s ~via:curr ~field:next)))
+          (not (marked (S.read h.s ~via:curr ~field:next)))
           && S.read_key h.s ~via:curr = key)
 
   let ops h ~record : Set_intf.ops =
@@ -163,7 +175,7 @@ module Make (S : Era_smr.Smr_intf.S) = struct
             let w = Word.unmark w in
             let nxt = S.read h.s ~via:w ~field:next in
             let acc =
-              if Word.is_marked nxt then acc
+              if marked nxt then acc
               else S.read_key h.s ~via:w :: acc
             in
             walk nxt acc

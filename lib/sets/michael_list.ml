@@ -2,6 +2,11 @@ open Era_sim
 module Sched = Era_sched.Sched
 module Mem = Era_sched.Mem
 
+(* The mark-bit test on every hop, matched in place rather than through
+   [Word] (see the note atop heap.ml). Outside the functor, so the
+   traversal closures do not capture it. *)
+let marked = function Word.Ptr p -> p.marked | Word.Null | Word.Int _ -> false
+
 module Make (S : Era_smr.Smr_intf.S) = struct
   (* The typestate view of the scheme (Smr_intf.GUARD): every memory
      access below takes a [`Pinned] guard, so an access outside an
@@ -14,7 +19,7 @@ module Make (S : Era_smr.Smr_intf.S) = struct
 
   type t = {
     head : Word.t;
-    tail : Word.t;
+    tail_addr : int;
     scheme : S.t;
   }
 
@@ -28,13 +33,17 @@ module Make (S : Era_smr.Smr_intf.S) = struct
     let tail = Mem.alloc_sentinel ctx ~key:max_int in
     let head = Mem.alloc_sentinel ctx ~key:min_int in
     Mem.write ctx ~via:head ~field:next tail;
-    { head; tail; scheme }
+    { head; tail_addr = Word.addr_exn tail; scheme }
 
   let head_word t = t.head
   let handle dl ctx = { dl; s = S.thread dl.scheme ctx; ctx }
   let tctx h = h.s
 
-  let is_tail h w = Word.same_bits (Word.unmark w) h.dl.tail
+  (* The tail test on every hop, matched in place rather than through
+     [Word] (see the note atop heap.ml). *)
+  let is_tail h = function
+    | Word.Ptr p -> p.addr = h.dl.tail_addr
+    | Word.Null | Word.Int _ -> false
 
   (* Find the (pred, curr) window for [key], unlinking every marked node
      encountered before stepping over it. The unlink winner retires the
@@ -48,7 +57,7 @@ module Make (S : Era_smr.Smr_intf.S) = struct
       if is_tail h curr then (pred, curr)
       else
         let curr_next = G.read g ~via:curr ~field:next in
-        if Word.is_marked curr_next then begin
+        if marked curr_next then begin
           let succ = Word.unmark curr_next in
           G.enter_write_phase g ~reserve:[ pred; curr; succ ];
           if G.cas g ~via:pred ~field:next ~expected:curr ~desired:succ
@@ -97,7 +106,7 @@ module Make (S : Era_smr.Smr_intf.S) = struct
           if is_tail h curr || G.read_key g ~via:curr <> key then false
           else begin
             let succ = G.read g ~via:curr ~field:next in
-            if Word.is_marked succ then loop ()
+            if marked succ then loop ()
             else begin
               G.enter_write_phase g ~reserve:[ pred; curr ];
               if
@@ -158,7 +167,7 @@ module Make (S : Era_smr.Smr_intf.S) = struct
             let w = Word.unmark w in
             let nxt = G.read g ~via:w ~field:next in
             let acc =
-              if Word.is_marked nxt then acc else G.read_key g ~via:w :: acc
+              if marked nxt then acc else G.read_key g ~via:w :: acc
             in
             walk nxt acc
         in

@@ -1,3 +1,9 @@
+(* The access path matches on cells, states and words in place: it makes
+   no cross-module call that only inlining would make cheap, because the
+   dev profile (which perfbench builds in) passes [-opaque], so nothing
+   from [Vec], [Lifecycle] or [Word] is inlined here. The monitor's
+   emitters, which do real work, are the path's only such calls. *)
+
 exception Heap_exhausted
 
 type validity =
@@ -40,7 +46,8 @@ type cell = {
 type t = {
   cfg : config;
   mon : Monitor.t;
-  cells : cell Vec.t;
+  mutable cells : cell array;  (* [cells.(a)] for a < [ncells] is address a *)
+  mutable ncells : int;
   mutable free : int list;
   mutable next_node : int;
   mutable allocs : int;
@@ -57,7 +64,8 @@ let create ?(config = default_config) mon =
   {
     cfg = config;
     mon;
-    cells = Vec.create ();
+    cells = [||];
+    ncells = 0;
     free = [];
     next_node = 0;
     allocs = 0;
@@ -87,17 +95,18 @@ let violate t ~tid kind detail =
   Monitor.emit t.mon (Event.Violation { tid; kind; detail })
 
 let cell_of_addr t addr =
-  if addr < 0 || addr >= Vec.length t.cells then
+  if addr < 0 || addr >= t.ncells then
     invalid_arg (Fmt.str "Heap: address %d out of range" addr)
-  else Vec.get t.cells addr
+  else Array.unsafe_get t.cells addr
 
 (* Validity of [p] against the cell at its address (Definition 4.1). *)
 let cell_validity c (p : Word.ptr) =
   if c.in_system then Invalid_system
   else if c.node <> p.node then Invalid_reused
-  else if Lifecycle.equal c.state Lifecycle.Unallocated then
-    Invalid_unallocated
-  else Valid
+  else
+    match c.state with
+    | Lifecycle.Unallocated -> Invalid_unallocated
+    | Local _ | Shared | Retired -> Valid
 
 let validity t w =
   match w with
@@ -117,7 +126,7 @@ let fresh_cell t =
     t.free_count <- t.free_count - 1;
     cell_of_addr t addr
   | [] ->
-    let n = Vec.length t.cells in
+    let n = t.ncells in
     (match t.cfg.capacity with
     | Some cap when n >= cap -> raise Heap_exhausted
     | Some _ | None -> ());
@@ -133,7 +142,13 @@ let fresh_cell t =
         entry = false;
       }
     in
-    Vec.push t.cells c;
+    if n = Array.length t.cells then begin
+      let cells = Array.make (max 16 (2 * n)) c in
+      Array.blit t.cells 0 cells 0 n;
+      t.cells <- cells
+    end;
+    t.cells.(n) <- c;
+    t.ncells <- n + 1;
     c
 
 let alloc_with_state t ~tid ~key state =
@@ -172,32 +187,28 @@ let transition t ~tid c to_ =
 let retire t ~tid w =
   match w with
   | Word.Null | Word.Int _ -> invalid_arg "Heap.retire: not a pointer"
-  | Word.Ptr p ->
+  | Word.Ptr p -> (
     let c = cell_of_addr t p.addr in
-    if c.node <> p.node || Lifecycle.equal c.state Lifecycle.Unallocated then
-      violate t ~tid Event.Double_free
-        (Fmt.str "retire of dead node &%d#%d" p.addr p.node)
-    else if Lifecycle.equal c.state Lifecycle.Retired then
-      violate t ~tid Event.Double_free
-        (Fmt.str "double retire of &%d#%d" p.addr p.node)
-    else begin
+    match c.state with
+    | (Lifecycle.Local _ | Shared) when c.node = p.node ->
       transition t ~tid c Lifecycle.Retired;
       Monitor.emit t.mon (Event.Retire { tid; addr = p.addr; node = p.node })
-    end
+    | Retired when c.node = p.node ->
+      violate t ~tid Event.Double_free
+        (Fmt.str "double retire of &%d#%d" p.addr p.node)
+    | Unallocated | Local _ | Shared | Retired ->
+      violate t ~tid Event.Double_free
+        (Fmt.str "retire of dead node &%d#%d" p.addr p.node))
 
 let reclaim t ~tid w =
   match w with
   | Word.Null | Word.Int _ -> invalid_arg "Heap.reclaim: not a pointer"
-  | Word.Ptr p ->
+  | Word.Ptr p -> (
     let c = cell_of_addr t p.addr in
-    if c.node <> p.node || not (Lifecycle.equal c.state Lifecycle.Retired) then
-      violate t ~tid Event.Double_free
-        (Fmt.str "reclaim of non-retired node &%d#%d (cell holds #%d, %a)"
-           p.addr p.node c.node Lifecycle.pp c.state)
-    else begin
+    match c.state with
+    | Lifecycle.Retired when c.node = p.node ->
       transition t ~tid c Lifecycle.Unallocated;
-      if Lifecycle.equal c.state Lifecycle.Unallocated then
-        t.in_use <- t.in_use - 1;
+      t.in_use <- t.in_use - 1;
       t.reclaims <- t.reclaims + 1;
       let to_system =
         match t.cfg.space with
@@ -215,7 +226,10 @@ let reclaim t ~tid w =
       end;
       Monitor.emit t.mon
         (Event.Reclaim { tid; addr = p.addr; node = p.node; to_system })
-    end
+    | Unallocated | Local _ | Shared | Retired ->
+      violate t ~tid Event.Double_free
+        (Fmt.str "reclaim of non-retired node &%d#%d (cell holds #%d, %a)"
+           p.addr p.node c.node Lifecycle.pp c.state))
 
 (* ------------------------------------------------------------------ *)
 (* Accesses                                                           *)
@@ -255,8 +269,8 @@ let emit_access t ~tid ~(p : Word.ptr) ~field ~kind ~unsafe =
    field of a shared node makes the target shared (it became reachable from
    an entry point through shared nodes). *)
 let promote_if_shared t ~tid via_cell stored =
-  match stored with
-  | Word.Ptr q when Lifecycle.equal via_cell.state Lifecycle.Shared -> (
+  match stored, via_cell.state with
+  | Word.Ptr q, Lifecycle.Shared -> (
     let target = cell_of_addr t q.addr in
     if target.node = q.node then
       match target.state with
@@ -265,7 +279,7 @@ let promote_if_shared t ~tid via_cell stored =
         Monitor.emit t.mon
           (Event.Share { tid; addr = q.addr; node = q.node })
       | Unallocated | Shared | Retired -> ())
-  | Word.Ptr _ | Word.Null | Word.Int _ -> ()
+  | (Word.Ptr _ | Word.Null | Word.Int _), _ -> ()
 
 let read_checked t ~tid ~via ~field =
   let p = deref_ptr via in
@@ -312,9 +326,11 @@ let peek_key t ~tid ~via =
   (c.key, v)
 
 let check_stored_value t ~tid w =
-  if Word.is_stale w then
+  match w with
+  | Word.Ptr { stale = true; _ } ->
     violate t ~tid Event.Stale_value_used
       (Fmt.str "stale value %a stored to shared memory" Word.pp w)
+  | Word.Ptr _ | Word.Null | Word.Int _ -> ()
 
 let write_checked t ~tid ~via ~field value =
   let p = deref_ptr via in
@@ -332,6 +348,16 @@ let write_checked t ~tid ~via ~field value =
     promote_if_shared t ~tid c value
   end
 
+(* [Word.same_bits], and with [~node] the node identity too, matched in
+   place. *)
+let same_word ~node a b =
+  match a, b with
+  | Word.Ptr p, Word.Ptr q ->
+    p.addr = q.addr && p.marked = q.marked && ((not node) || p.node = q.node)
+  | Word.Null, Word.Null -> true
+  | Word.Int x, Word.Int y -> x = y
+  | (Word.Null | Word.Int _ | Word.Ptr _), _ -> false
+
 let cas_gen ~compare_identity t ~tid ~via ~field ~expected ~desired =
   let p = deref_ptr via in
   let c = deref_cell t ~tid p in
@@ -340,16 +366,7 @@ let cas_gen ~compare_identity t ~tid ~via ~field ~expected ~desired =
   check_stored_value t ~tid expected;
   check_stored_value t ~tid desired;
   let unsafe = v <> Valid in
-  let current = c.ptrs.(field) in
-  let bits_match = Word.same_bits current expected in
-  let identity_match =
-    bits_match
-    &&
-    match current, expected with
-    | Word.Ptr a, Word.Ptr b -> a.node = b.node
-    | (Word.Null | Word.Int _ | Word.Ptr _), _ -> true
-  in
-  let matches = if compare_identity then identity_match else bits_match in
+  let matches = same_word ~node:compare_identity c.ptrs.(field) expected in
   let success = matches && not (unsafe && compare_identity) in
   emit_access t ~tid ~p ~field ~kind:(Event.Cas success) ~unsafe;
   if unsafe && not compare_identity then begin
@@ -413,7 +430,7 @@ let aux_cas t ~tid ~via ~field ~expected ~desired =
   check_aux_field t field;
   let unsafe = v <> Valid in
   let current = c.aux.(field) in
-  let success = (not unsafe) && Word.same_bits current expected in
+  let success = (not unsafe) && same_word ~node:false current expected in
   emit_access t ~tid ~p ~field ~kind:(Event.Cas success) ~unsafe;
   if success then c.aux.(field) <- desired;
   success
@@ -425,12 +442,14 @@ let aux_cas t ~tid ~via ~field ~expected ~desired =
 let cell_state t ~addr = (cell_of_addr t addr).state
 
 let collect t p =
-  Vec.fold_left
-    (fun acc c -> if p c then (c.addr, c.node, c.key) :: acc else acc)
-    [] t.cells
-  |> List.rev
+  let acc = ref [] in
+  for a = t.ncells - 1 downto 0 do
+    let c = t.cells.(a) in
+    if p c.state then acc := (c.addr, c.node, c.key) :: !acc
+  done;
+  !acc
 
-let live_nodes t = collect t (fun c -> Lifecycle.is_active c.state)
+let live_nodes t = collect t Lifecycle.is_active
 
 let retired_nodes t =
-  collect t (fun c -> Lifecycle.equal c.state Lifecycle.Retired)
+  collect t (function Lifecycle.Retired -> true | _ -> false)

@@ -4,14 +4,6 @@ type t =
   | Shared
   | Retired
 
-let equal a b =
-  match a, b with
-  | Unallocated, Unallocated -> true
-  | Local x, Local y -> x = y
-  | Shared, Shared -> true
-  | Retired, Retired -> true
-  | (Unallocated | Local _ | Shared | Retired), _ -> false
-
 let is_active = function
   | Local _ | Shared -> true
   | Unallocated | Retired -> false
@@ -21,8 +13,6 @@ let pp fmt = function
   | Local tid -> Fmt.pf fmt "local(T%d)" tid
   | Shared -> Fmt.string fmt "shared"
   | Retired -> Fmt.string fmt "retired"
-
-let to_string s = Fmt.str "%a" pp s
 
 let check_transition ~from ~to_ =
   match from, to_ with

@@ -13,8 +13,6 @@ type t =
   | Shared
   | Retired
 
-val equal : t -> t -> bool
-
 val is_active : t -> bool
 (** [Local _] or [Shared] — the states that count towards
     [active]/[max_active] in Definitions 5.1–5.2. *)
@@ -24,4 +22,3 @@ val check_transition : from:t -> to_:t -> (unit, string) result
     string names the illegal move. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -29,23 +29,6 @@ let set t i v =
 
 let clear t = t.len <- 0
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.data.(i)
-  done
-
-let fold_left f acc t =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
-
 let to_list t =
   let rec build i acc = if i < 0 then acc else build (i - 1) (t.data.(i) :: acc) in
   build (t.len - 1) []

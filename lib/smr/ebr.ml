@@ -46,18 +46,26 @@ let global t = t.g
 let current_epoch g = g.epoch
 let announced g tid = g.announce.(tid)
 
-(* Reclaim this thread's buckets whose epoch is at most [global - 2]. *)
+let rec has_epoch_le horizon = function
+  | [] -> false
+  | (e, _) :: l -> e <= horizon || has_epoch_le horizon l
+
+(* Reclaim this thread's buckets whose epoch is at most [global - 2].
+   Runs on every [begin_op] and [retire]; most calls find nothing
+   eligible, and those return before partitioning anything. *)
 let reclaim_eligible t =
   let g = t.g in
   let tid = t.ctx.Sched.tid in
   let horizon = g.epoch - 2 in
-  let eligible, kept =
-    List.partition (fun (e, _) -> e <= horizon) g.buckets.(tid)
-  in
-  g.buckets.(tid) <- kept;
-  List.iter
-    (fun (_, nodes) -> List.iter (fun w -> Mem.reclaim t.ctx w) nodes)
-    eligible
+  if has_epoch_le horizon g.buckets.(tid) then begin
+    let eligible, kept =
+      List.partition (fun (e, _) -> e <= horizon) g.buckets.(tid)
+    in
+    g.buckets.(tid) <- kept;
+    List.iter
+      (fun (_, nodes) -> List.iter (fun w -> Mem.reclaim t.ctx w) nodes)
+      eligible
+  end
 
 (* Advance the global epoch if every thread has announced it (or is
    quiescent) — the paper's Appendix A protocol, attempted in begin_op. *)

@@ -426,6 +426,15 @@ let cover_config =
 let cover_classic =
   lazy (Ex.explore ~config:cover_config (Lazy.force cover_target))
 
+(* Which schedules the cover cell runs, pinned: an MD5 of the sorted
+   schedule hashes, classic and DPOR. The counts alone could hold while
+   the search ran other schedules; this fails on any change to which
+   ones run. *)
+let schedules_digest r =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "," (List.map string_of_int r.Ex.res_schedules)))
+
 let rec has_adjacent_dup = function
   | a :: (b :: _ as tl) -> a = b || has_adjacent_dup tl
   | _ -> false
@@ -443,7 +452,12 @@ let test_cover_cell_goldens () =
     (List.length seq.Ex.res_schedules);
   Alcotest.(check bool) "no schedule runs twice" false
     (has_adjacent_dup seq.Ex.res_schedules);
-  let dpor = (Ex.explore ~config:(with_dpor config) target).Ex.res_stats in
+  Alcotest.(check string) "classic schedules digest"
+    "5789bb4fcec504a051031aa7d1cfd273" (schedules_digest seq);
+  let dpor_r = Ex.explore ~config:(with_dpor config) target in
+  Alcotest.(check string) "dpor schedules digest"
+    "f34f47e81915c0884580d4adf3af8aa2" (schedules_digest dpor_r);
+  let dpor = dpor_r.Ex.res_stats in
   Alcotest.(check (list int)) "dpor runs/states/sleep cuts"
     [ 5_691; 785_035; 2_463 ]
     [ dpor.Ex.runs; dpor.Ex.states; dpor.Ex.sleep_cuts ];

@@ -477,6 +477,123 @@ let test_inline_completion_same_events () =
     | Some ev -> String.starts_with ~prefix:"T0 VIOLATION" ev
     | None -> false)
 
+(* The runnable mask is kept at spawn, stall, unstall and thread exit
+   instead of being scanned for. Random spawn/stall/unstall sequences,
+   with threads that finish or raise, under [Random] and [Controlled]:
+   after every quantum the mask must equal the one folded from each
+   thread's outcome and the stalls the test itself issued. *)
+type act = Yield | Stall of int | Unstall of int | Spawn of int | Raise
+
+let pp_act ppf = function
+  | Yield -> Fmt.string ppf "y"
+  | Stall j -> Fmt.pf ppf "s%d" j
+  | Unstall j -> Fmt.pf ppf "u%d" j
+  | Spawn j -> Fmt.pf ppf "n%d" j
+  | Raise -> Fmt.string ppf "!"
+
+let mask_case =
+  let open QCheck.Gen in
+  let case =
+    int_range 1 6 >>= fun n ->
+    let tid = int_bound (n - 1) in
+    let act =
+      frequency
+        [
+          (4, return Yield);
+          (2, map (fun j -> Stall j) tid);
+          (2, map (fun j -> Unstall j) tid);
+          (1, map (fun j -> Spawn j) tid);
+          (1, return Raise);
+        ]
+    in
+    let thread = triple bool bool (list_size (int_bound 8) act) in
+    pair (list_size (return n) thread) (pair bool small_nat)
+  in
+  let print (threads, (controlled, seed)) =
+    Fmt.str "%s seed %d: %a"
+      (if controlled then "controlled" else "random")
+      seed
+      Fmt.(
+        list ~sep:(any " | ") (fun ppf (spawned, stalled, acts) ->
+            pf ppf "%s%s %a"
+              (if spawned then "spawned" else "-")
+              (if stalled then ",stalled" else "")
+              (list ~sep:sp pp_act) acts))
+      threads
+  in
+  QCheck.make ~print case
+
+let prop_runnable_mask =
+  QCheck.Test.make ~count:300 ~name:"runnable mask = folded runnable set"
+    mask_case (fun (threads, (controlled, seed)) ->
+      let threads = Array.of_list threads in
+      let n = Array.length threads in
+      let stalled = Array.make n false in
+      let rng = Rng.create seed in
+      let strategy =
+        if controlled then
+          Sched.Controlled
+            (fun s ->
+              match Sched.runnable_tids s with
+              | [] -> -1
+              | l -> List.nth l (Rng.int rng (List.length l)))
+        else Sched.Random (Rng.create seed)
+      in
+      let sched, _ = setup ~nthreads:n strategy in
+      let folded () =
+        let m = ref 0 in
+        for tid = 0 to n - 1 do
+          match Sched.thread_outcome sched tid with
+          | Sched.Running when not stalled.(tid) -> m := !m lor (1 lsl tid)
+          | Sched.Running | Not_spawned | Finished | Crashed _ -> ()
+        done;
+        !m
+      in
+      let ok = ref true in
+      let check () = if Sched.runnable_mask sched <> folded () then ok := false in
+      let rec body tid ctx =
+        let _, _, acts = threads.(tid) in
+        List.iter
+          (fun a ->
+            (match a with
+            | Yield -> ()
+            | Stall j ->
+              Sched.stall sched j;
+              stalled.(j) <- true
+            | Unstall j ->
+              Sched.unstall sched j;
+              stalled.(j) <- false
+            | Spawn j ->
+              if Sched.thread_outcome sched j = Sched.Not_spawned then
+                Sched.spawn sched ~tid:j (body j)
+            | Raise -> raise Exit);
+            check ();
+            Sched.yield ctx)
+          acts
+      in
+      Array.iteri
+        (fun tid (spawned, stall, _) ->
+          if stall then begin
+            Sched.stall sched tid;
+            stalled.(tid) <- true
+          end;
+          if spawned then Sched.spawn sched ~tid (body tid);
+          check ())
+        threads;
+      Sched.set_quantum_hook sched (Some (fun _ _ _ -> check ()));
+      ignore (Sched.run sched);
+      check ();
+      !ok)
+
+(* 62 bits is the mask's width; a wider scheduler is refused up front. *)
+let test_nthreads_limit () =
+  let heap = Heap.create (Monitor.create ~mode:`Record ()) in
+  ignore (Sched.create ~nthreads:62 Sched.Round_robin heap);
+  Alcotest.check_raises "nthreads = 63"
+    (Invalid_argument
+       "Sched.create: at most 62 threads (runnable mask width)") (fun () ->
+      ignore (Sched.create ~nthreads:63 Sched.Round_robin heap))
+
 let () =
   Alcotest.run "era_sched"
   @@ Shuffle.maybe_shuffle
@@ -520,5 +637,10 @@ let () =
             test_quantum_hook_every_quantum;
           Alcotest.test_case "inline completion emits the same events" `Quick
             test_inline_completion_same_events;
+        ] );
+      ( "runnable-mask",
+        [
+          QCheck_alcotest.to_alcotest prop_runnable_mask;
+          Alcotest.test_case "at most 62 threads" `Quick test_nthreads_limit;
         ] );
     ]

@@ -466,6 +466,7 @@ let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
   Alcotest.run "era_sets"
+  @@ Shuffle.maybe_shuffle
     [
       ("harris-sequential", seq_cases "harris" harris_build);
       ("michael-sequential", seq_cases "michael" michael_build);

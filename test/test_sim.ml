@@ -438,6 +438,7 @@ let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
   Alcotest.run "era_sim"
+  @@ Shuffle.maybe_shuffle
     [
       ( "word",
         [
